@@ -103,10 +103,9 @@ for op in agg limit stats; do
 done
 "$CLI" probe index-list --addr "$ADDR" | grep -q '"name":"alt"' \
   || { echo "serve smoke: index-list is missing the named index"; exit 1; }
-# Slow-writer probe against the (default) evented core: drip the request
-# onto the socket across pauses longer than the old 200 ms idle poll. The
-# pre-reactor loop lost the partial line on every timeout tick; the reactor
-# must reassemble and answer it.
+# Slow-writer probe: drip the request onto the socket in three chunks with
+# pauses between them; the reactor must reassemble and answer it (a
+# read_line-style reader loses the partial line on every empty read).
 exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR#*:}"
 printf '{"id":77,"op":"ind' >&3
 sleep 0.3
@@ -125,29 +124,7 @@ wait "$SERVE_PID" # graceful drain must exit 0 (set -e enforces)
 grep -q '"version":1' "$SMOKE/snap.json" \
   || { echo "serve smoke: ingest-free snapshot must stay format version 1"; exit 1; }
 SERVE_PID=""
-echo "serve smoke OK (evented core: two indexes + slow writer served, drained cleanly, snapshot written)"
-
-echo "==> serve smoke (threaded escape hatch): --serve-core threaded still answers and drains"
-"$CLI" serve --index "$SMOKE/idx.json" --dataset night-street --n 2000 --seed 7 \
-  --addr 127.0.0.1:0 --serve-core threaded --workers 4 \
-  > "$SMOKE/threaded.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$SMOKE/threaded.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-  echo "threaded smoke: server never printed its address"; cat "$SMOKE/threaded.log"; exit 1
-fi
-for op in agg stats metrics; do
-  "$CLI" probe "$op" --addr "$ADDR" --class car --seed 7
-done
-"$CLI" probe shutdown --addr "$ADDR"
-wait "$SERVE_PID"
-SERVE_PID=""
-echo "threaded smoke OK (escape hatch answered and drained cleanly)"
+echo "serve smoke OK (two indexes + slow writer served, drained cleanly, snapshot written)"
 
 echo "==> ingest smoke: stream rows, kill -9, restart replays every acknowledged record"
 # The server runs over a --n 2100 dataset slice but serves the 2000-record
@@ -337,5 +314,8 @@ done
 wait "$SERVE_PID" # drain under faults must still exit 0
 SERVE_PID=""
 echo "chaos smoke OK (faulted server answered and drained cleanly)"
+
+echo "==> perf-smoke: every benchmark workload at the smoke profile, answers checked"
+bash perf/perf-smoke.sh
 
 echo "CI OK"

@@ -5,81 +5,27 @@ use std::sync::Arc;
 
 use tasti_ingest::{RealVfs, Vfs};
 
-/// Which serving core drives the front end.
-///
-/// The evented reactor is the default; the threaded core is kept as an
-/// escape hatch for one release while the reactor beds in (`tasti_cli
-/// serve --serve-core threaded`). Both speak byte-identical wire protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeCore {
-    /// Readiness-driven reactor: one event-loop thread owns every socket,
-    /// a fixed compute pool handles requests, idle connections cost a file
-    /// descriptor instead of a thread. Falls back to [`ServeCore::Threaded`]
-    /// on platforms without epoll.
-    #[default]
-    Evented,
-    /// The previous architecture: a fixed pool of worker threads, each
-    /// serving one connection at a time.
-    Threaded,
-}
-
-impl ServeCore {
-    /// Parses a CLI value (`evented` / `threaded`).
-    pub fn parse(s: &str) -> Result<ServeCore, String> {
-        match s {
-            "evented" => Ok(ServeCore::Evented),
-            "threaded" => Ok(ServeCore::Threaded),
-            other => Err(format!(
-                "unknown serve core '{other}' (expected 'evented' or 'threaded')"
-            )),
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServeCore::Evented => "evented",
-            ServeCore::Threaded => "threaded",
-        }
-    }
-}
-
-impl std::str::FromStr for ServeCore {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ServeCore, String> {
-        ServeCore::parse(s)
-    }
-}
-
 /// Configuration for a [`crate::Server`] / [`crate::TastiService`].
 ///
 /// The defaults suit a local deployment: loopback-only on an ephemeral
-/// port, the evented core, a small compute pool, cracking enabled. Every
-/// knob maps to a `tasti_cli serve` flag.
+/// port, a small compute pool, cracking enabled. Every knob maps to a
+/// `tasti_cli serve` flag.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address. Port `0` asks the OS for an ephemeral port (read the
     /// actual one from [`crate::Server::local_addr`]).
     pub addr: String,
-    /// Which serving core to run ([`ServeCore::Evented`] by default).
-    pub core: ServeCore,
-    /// Compute threads. Under the evented core these only run request
-    /// handling (parse + query + oracle work) — connections are owned by
-    /// the reactor, so this does *not* bound concurrent connections. Under
-    /// the threaded core each worker serves one connection at a time, so
-    /// there it is also the concurrent-connection limit.
+    /// Compute threads: they run request handling (parse + query + oracle
+    /// work). Connections are owned by the reactor, so this does *not*
+    /// bound concurrent connections.
     pub workers: usize,
-    /// Request/connection backpressure bound. Evented core: the capacity
-    /// of the bounded compute channel — a request arriving with the
+    /// Capacity of the bounded compute channel: a request arriving with the
     /// channel full gets an immediate typed `overloaded` error (its
-    /// connection stays open). Threaded core: accepted connections allowed
-    /// to wait for a free worker — a connection arriving with the queue
-    /// full is rejected immediately with the same typed error.
+    /// connection stays open).
     pub queue_depth: usize,
-    /// Evented core only: maximum concurrent connections the reactor will
-    /// hold open; beyond it new connections are rejected `overloaded`.
-    /// (The threaded core's connection limit is `workers`.)
+    /// Maximum concurrent connections the reactor will hold open; beyond
+    /// it new connections are rejected with a typed `overloaded` error and
+    /// closed.
     pub max_connections: usize,
     /// Where `snapshot` requests (and the shutdown snapshot) persist the
     /// index. `None` disables both.
@@ -125,7 +71,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            core: ServeCore::default(),
             workers: 4,
             queue_depth: 16,
             max_connections: 1024,
@@ -147,25 +92,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_loopback_ephemeral_evented() {
+    fn defaults_are_loopback_ephemeral() {
         let c = ServeConfig::default();
         assert_eq!(c.addr, "127.0.0.1:0");
-        assert_eq!(c.core, ServeCore::Evented);
         assert!(c.workers >= 1);
         assert!(c.max_connections >= c.workers);
         assert!(c.crack_after_queries);
         assert!(c.snapshot_path.is_none());
         assert!(c.ingest_dir.is_none(), "ingest is opt-in");
         assert!(c.drift_threshold > 0.0);
-    }
-
-    #[test]
-    fn core_parses_cli_spellings_and_round_trips() {
-        assert_eq!(ServeCore::parse("evented").unwrap(), ServeCore::Evented);
-        assert_eq!(ServeCore::parse("threaded").unwrap(), ServeCore::Threaded);
-        assert!(ServeCore::parse("green-threads").is_err());
-        for core in [ServeCore::Evented, ServeCore::Threaded] {
-            assert_eq!(ServeCore::parse(core.name()).unwrap(), core);
-        }
     }
 }

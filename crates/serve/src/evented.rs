@@ -1,4 +1,4 @@
-//! The evented serving core: a readiness-driven reactor front end.
+//! The serving core: a readiness-driven reactor front end.
 //!
 //! One reactor thread owns the listener, every client socket (all
 //! nonblocking), the poller, and the timer wheel. Each connection is a
@@ -24,7 +24,7 @@
 //! out. Virtual clocks (tests) keep sleeping virtually and stay instant.
 //!
 //! Ordering contract: one request at a time per connection, responses in
-//! request order — byte-identical wire behaviour to the threaded core.
+//! request order.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -38,9 +38,9 @@ use std::time::{Duration, Instant};
 use tasti_labeler::{Clock, FallibleTargetLabeler, RetryTimer};
 
 use crate::linebuf::{LineBuffer, LineError};
+use crate::metrics::ServeMetrics;
 use crate::poll::{Event, Poller, Waker};
 use crate::proto::{err_response, ErrorKind, Op, Request};
-use crate::server::write_rejection;
 use crate::service::TastiService;
 use crate::timer::{TimerEntry, TimerWheel};
 
@@ -54,7 +54,7 @@ const TOKEN_FIRST_CONN: u64 = 2;
 
 /// Grace the drain gives stalled peers to take their final bytes before
 /// their connections are force-closed (counted in `rejection_write_drops`,
-/// like the threaded core's bounded farewell writes).
+/// like a dropped admission rejection).
 const DRAIN_GRACE: Duration = Duration::from_millis(150);
 
 /// Slack past the requested delay before a parked backoff waiter gives up
@@ -193,7 +193,7 @@ impl RetryTimer for ReactorTimer {
     }
 }
 
-/// Handles to a running evented core, held by [`crate::Server`].
+/// Handles to the running reactor and compute pool, held by [`crate::Server`].
 pub(crate) struct EventedCore {
     shared: Arc<ReactorShared>,
     reactor: Option<JoinHandle<()>>,
@@ -443,8 +443,7 @@ impl<L: FallibleTargetLabeler + 'static> Reactor<L> {
 
     /// Accepts until the listener would block. Admission control: over the
     /// connection cap (or during a drain) the peer gets a bounded-write
-    /// courtesy rejection and an immediate close, exactly like the
-    /// threaded acceptor.
+    /// courtesy rejection and an immediate close.
     fn accept_ready(&mut self) {
         loop {
             let stream = match self.listener.accept() {
@@ -736,11 +735,26 @@ impl<L: FallibleTargetLabeler + 'static> Reactor<L> {
     }
 }
 
+/// How long an admission-rejection write may block before the courtesy
+/// error line is dropped. The connection closes either way; without this
+/// bound a peer that never reads would park the reactor's accept path.
+const REJECT_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Writes a rejection line to a not-yet-registered (still blocking) socket
+/// with [`REJECT_WRITE_TIMEOUT`] applied, counting a drop (instead of
+/// blocking or erroring) when the peer won't take it.
+fn write_rejection(metrics: &ServeMetrics, mut conn: &TcpStream, line: &str) {
+    let _ = conn.set_write_timeout(Some(REJECT_WRITE_TIMEOUT));
+    if writeln!(conn, "{line}").is_err() {
+        metrics.rejection_write_drops.incr();
+    }
+}
+
 /// Hands one request line to the compute pool, or answers with typed
 /// backpressure when the pool's channel is full.
 fn dispatch(
     shared: &ReactorShared,
-    metrics: &crate::metrics::ServeMetrics,
+    metrics: &ServeMetrics,
     conn: &mut Conn,
     token: u64,
     line: String,

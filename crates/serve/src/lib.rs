@@ -8,19 +8,18 @@
 //!
 //! Dependency-free by construction (std networking and threads only):
 //!
-//! * [`Server`] — the TCP front end, in two interchangeable cores selected
-//!   by [`config::ServeCore`]. The default **evented core** is a
-//!   readiness-driven reactor (epoll behind a tiny `std`-only poller): one
-//!   event-loop thread owns every socket, per-connection state machines
-//!   accumulate bytes / parse / dispatch / write-drain, and a small fixed
-//!   compute pool behind a bounded channel runs the actual queries — so an
-//!   idle keep-alive connection costs a file descriptor, not a thread, and
-//!   `ResilientLabeler` retry backoff parks on a reactor timer wheel
-//!   instead of `thread::sleep`. The **threaded core** (worker pool +
-//!   bounded accept queue with fail-fast `overloaded` admission control)
-//!   remains as a one-release escape hatch; both cores drain gracefully
-//!   and speak byte-identical wire protocol.
-//! * [`TastiService`] — the transport-agnostic core, routing requests over
+//! * [`Server`] — the TCP front end: a readiness-driven reactor (epoll
+//!   behind a tiny `std`-only poller). One event-loop thread owns every
+//!   socket, per-connection state machines accumulate bytes / parse /
+//!   dispatch / write-drain, and a small fixed compute pool behind a
+//!   bounded channel runs the actual queries — so an idle keep-alive
+//!   connection costs a file descriptor, not a thread, a full channel
+//!   answers a typed `overloaded` at once, and `ResilientLabeler` retry
+//!   backoff parks on a reactor timer wheel instead of `thread::sleep`.
+//!   Linux only: elsewhere [`Server::start`] returns
+//!   [`std::io::ErrorKind::Unsupported`] — there is no second server.
+//! * [`TastiService`] — the transport-agnostic (and portable) service,
+//!   usable in-process without a socket, routing requests over
 //!   an [`IndexRegistry`] of named indexes: each [`IndexEntry`] pairs an
 //!   index behind `RwLock<Arc<_>>` (readers clone the `Arc`, cracking
 //!   swaps it) with its own
@@ -73,21 +72,52 @@
 
 pub mod client;
 pub mod config;
-#[cfg(target_os = "linux")]
-pub(crate) mod evented;
-pub(crate) mod linebuf;
 pub mod metrics;
-#[cfg(target_os = "linux")]
-pub(crate) mod poll;
 pub mod proto;
 pub mod registry;
 pub mod server;
 pub mod service;
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+
+// The reactor and its parts: raw epoll + eventfd, so Linux only.
+#[cfg(target_os = "linux")]
+pub(crate) mod evented;
+#[cfg(target_os = "linux")]
+pub(crate) mod linebuf;
+#[cfg(target_os = "linux")]
+pub(crate) mod poll;
+#[cfg(target_os = "linux")]
 pub(crate) mod timer;
 
+/// There is deliberately no second backend: off Linux the crate still
+/// builds, so [`TastiService`] can be driven in-process, but the TCP front
+/// end cannot start.
+#[cfg(not(target_os = "linux"))]
+pub(crate) mod evented {
+    pub(crate) enum EventedCore {}
+
+    impl EventedCore {
+        pub fn shutdown(&self) {
+            match *self {}
+        }
+
+        pub fn join_threads(&mut self) {
+            match *self {}
+        }
+    }
+
+    pub(crate) fn start<S>(
+        _service: S,
+        _listener: std::net::TcpListener,
+    ) -> std::io::Result<EventedCore> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "tasti-serve's TCP front end requires Linux epoll",
+        ))
+    }
+}
+
 pub use client::{Client, ClientError};
-pub use config::{ServeConfig, ServeCore};
+pub use config::ServeConfig;
 pub use metrics::ServeMetrics;
 pub use proto::{ErrorKind, Op, Reply, Request, ScoreSpec};
 pub use registry::{IndexEntry, IndexRegistry, IngestOutcome};

@@ -1,13 +1,13 @@
-//! Byte-accurate request-line accumulation, shared by both serving cores.
+//! Byte-accurate request-line accumulation for the reactor's connections.
 //!
-//! The old threaded reader used `BufReader::read_line`, which **truncates
-//! the partial line away when a read times out** (`read_line` restores the
-//! buffer's original length on `Err` to keep it valid UTF-8) — so a client
-//! whose request straddled the idle-poll timeout had its bytes silently
+//! Why not `BufReader::read_line`: it **truncates the partial line away
+//! when a read fails** (`read_line` restores the buffer's original length
+//! on `Err` — `WouldBlock` included — to keep it valid UTF-8), so a client
+//! whose request arrives in several chunks has its earlier bytes silently
 //! dropped and the eventual reassembled line mangled. [`LineBuffer`]
-//! accumulates raw bytes in a `Vec<u8>` instead: a timed-out read leaves
-//! every byte in place and the retry appends after them, whatever the
-//! timing.
+//! accumulates raw bytes in a `Vec<u8>` instead: a read that ends mid-line
+//! leaves every byte in place and the next one appends after them,
+//! whatever the timing.
 
 /// Accumulates raw bytes and yields complete `\n`-terminated lines.
 ///

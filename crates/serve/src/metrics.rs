@@ -58,9 +58,8 @@ pub struct ServeMetrics {
     /// Snapshot attempts (admin `snapshot` requests + shutdown snapshot)
     /// that failed to persist (bad path, full disk, …).
     pub snapshot_failures: Counter,
-    /// Requests answered `overloaded` because the evented core's compute
-    /// channel was full (request-level backpressure; the connection stays
-    /// open). Zero under the threaded core, which rejects at admission.
+    /// Requests answered `overloaded` because the compute channel was full
+    /// (request-level backpressure; the connection stays open).
     pub requests_rejected_overloaded: Counter,
     /// Records durably ingested and applied (acknowledged batches summed).
     pub records_ingested: Counter,
@@ -88,7 +87,7 @@ pub struct ServeMetrics {
     /// falling back to the rotated last-good (`.prev`) copy.
     pub snapshot_fallback_loads: Counter,
     /// Reactor loop iterations (readiness wakeups + timer/completion
-    /// wakeups). Zero under the threaded core.
+    /// wakeups). Zero for a service driven in-process, without a socket.
     pub reactor_wakeups: Counter,
     /// Timer-wheel entries fired (scheduled labeler backoffs, drain
     /// deadlines — including those fired early by a drain).
@@ -271,9 +270,9 @@ impl ServeMetrics {
                 counter(key, c, &mut out);
             }
         }
-        // The reactor section appears only once the evented core has run a
-        // loop iteration, so threaded-core dumps stay byte-identical to the
-        // pre-reactor output.
+        // The reactor section appears only once the reactor has run a loop
+        // iteration, so a service driven in-process (no socket) dumps
+        // exactly what it did before the reactor existed.
         if self.reactor_wakeups.get() > 0 {
             let summary = |key: &str, s: &HistogramSummary, out: &mut String| {
                 out.push('"');

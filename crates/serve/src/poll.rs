@@ -9,9 +9,9 @@
 //! code: the [`Poller`]/[`Waker`] wrappers own their file descriptors and
 //! close them on drop.
 //!
-//! On non-Linux targets this module (and the evented core that uses it) is
-//! not compiled and the server falls back to the threaded core (see
-//! `Server::start`).
+//! On non-Linux targets this module (and the reactor that uses it) is not
+//! compiled and `Server::start` returns `Unsupported`: there is no second
+//! backend.
 
 /// One readiness event delivered by [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]

@@ -1,72 +1,30 @@
-//! The TCP front end, in two interchangeable cores behind one [`Server`]
-//! API.
+//! The TCP front end: a thin lifecycle ([`Server::start`] /
+//! [`Server::local_addr`] / [`Server::shutdown`] / [`Server::join_report`])
+//! over the readiness-driven reactor in [`crate::evented`].
 //!
-//! **Evented core** (the default, [`crate::ServeCore::Evented`]): one
-//! reactor thread drives every socket through a readiness poller (epoll)
-//! while a small fixed compute pool handles requests — an idle keep-alive
-//! connection costs a file descriptor, not a thread. See
+//! One reactor thread drives every socket through a readiness poller
+//! (epoll) while a small fixed compute pool handles requests — an idle
+//! keep-alive connection costs a file descriptor, not a thread. See
 //! [`crate::evented`] (and DESIGN.md §7) for the state machine.
 //!
-//! **Threaded core** ([`crate::ServeCore::Threaded`], the previous
-//! architecture, kept as a one-release escape hatch): one acceptor thread
-//! owns the listener. Accepted connections go into a bounded queue
-//! (`Mutex<VecDeque>` + `Condvar`); a connection arriving with the queue
-//! full is rejected *immediately* with a typed `overloaded` error —
-//! admission control fails fast instead of letting latency grow without
-//! bound. Rejection writes carry a short write timeout so a stalled peer
-//! can never freeze the acceptor; a dropped courtesy line is counted in
-//! `rejection_write_drops`. Each of the `workers` threads pops a
-//! connection and serves it to completion, so `workers` is also the
-//! concurrent-connection limit.
+//! The reactor is Linux-only (raw epoll + eventfd). On other platforms
+//! [`Server::start`] returns [`io::ErrorKind::Unsupported`];
+//! [`TastiService`] itself is portable and can be driven in-process.
 //!
-//! Both cores speak byte-identical wire protocol and share the
-//! [`crate::linebuf::LineBuffer`] reader, which fixes two data-loss bugs
-//! the old `BufReader::read_line` loop had: a request line straddling the
-//! idle-poll timeout was silently truncated (`read_line` drops the partial
-//! read on `Err`), and a final unterminated line at EOF was discarded
-//! unanswered.
-//!
-//! Shutdown (admin `shutdown` request or [`Server::shutdown`]): both cores
-//! drain — stop accepting, let in-flight work finish, farewell idle
-//! connections with a `shutting_down` error. [`Server::join_report`] runs
-//! one final crack fold-in and, when configured, persists a shutdown
-//! snapshot — surfacing (not swallowing) a snapshot failure.
+//! Shutdown (admin `shutdown` request or [`Server::shutdown`]) drains: stop
+//! accepting, let in-flight work finish, farewell idle connections with a
+//! `shutting_down` error. [`Server::join_report`] runs one final crack
+//! fold-in and, when configured, persists a shutdown snapshot — surfacing
+//! (not swallowing) a snapshot failure.
 
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 
 use tasti_labeler::FallibleTargetLabeler;
 
-use crate::config::ServeCore;
-use crate::linebuf::LineBuffer;
-use crate::metrics::ServeMetrics;
-use crate::proto::{err_response, ErrorKind, Op, Request};
+use crate::evented::{self, EventedCore};
 use crate::service::TastiService;
-
-/// Shared accept-queue state (threaded core).
-struct Shared {
-    queue: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
-    shutting_down: AtomicBool,
-    /// Where the shutdown self-connection goes: the bound address with
-    /// wildcard IPs rewritten to the matching loopback.
-    wake_addr: SocketAddr,
-}
-
-/// The running threads of whichever core the config selected.
-enum CoreHandle {
-    Threaded {
-        shared: Arc<Shared>,
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Evented(crate::evented::EventedCore),
-}
 
 /// The outcome of [`Server::join_report`].
 #[derive(Debug)]
@@ -84,39 +42,20 @@ pub struct JoinReport {
 pub struct Server<L: FallibleTargetLabeler + 'static> {
     service: Arc<TastiService<L>>,
     addr: SocketAddr,
-    core: CoreHandle,
+    core: EventedCore,
 }
 
 impl<L: FallibleTargetLabeler + 'static> Server<L> {
-    /// Binds the configured address and spawns the serving core selected
-    /// by [`crate::ServeConfig::core`]. The service's config also supplies
-    /// the bind address, compute pool size, queue depth, and connection
-    /// cap.
+    /// Binds the configured address and spawns the reactor and its compute
+    /// pool. The service's config supplies the bind address, compute pool
+    /// size, queue depth, and connection cap.
     ///
-    /// On platforms without the readiness poller (non-Linux) the evented
-    /// core is unavailable and the threaded core is used instead, with a
-    /// note on stderr.
+    /// Linux only: elsewhere this returns [`io::ErrorKind::Unsupported`]
+    /// (there is no second backend).
     pub fn start(service: Arc<TastiService<L>>) -> io::Result<Server<L>> {
-        let config = service.config().clone();
-        let listener = TcpListener::bind(&config.addr)?;
+        let listener = TcpListener::bind(&service.config().addr)?;
         let addr = listener.local_addr()?;
-        let core = match config.core {
-            ServeCore::Evented => {
-                #[cfg(target_os = "linux")]
-                {
-                    CoreHandle::Evented(crate::evented::start(Arc::clone(&service), listener)?)
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    eprintln!(
-                        "tasti-serve: evented core is unavailable on this platform; \
-                         falling back to the threaded core"
-                    );
-                    start_threaded(Arc::clone(&service), listener, addr, &config)?
-                }
-            }
-            ServeCore::Threaded => start_threaded(Arc::clone(&service), listener, addr, &config)?,
-        };
+        let core = evented::start(Arc::clone(&service), listener)?;
         Ok(Server {
             service,
             addr,
@@ -138,11 +77,7 @@ impl<L: FallibleTargetLabeler + 'static> Server<L> {
     /// connections finish, answer queued ones with `shutting_down`.
     /// Idempotent; returns immediately. Follow with [`Server::join`].
     pub fn shutdown(&self) {
-        match &self.core {
-            CoreHandle::Threaded { shared, .. } => begin_shutdown(shared),
-            #[cfg(target_os = "linux")]
-            CoreHandle::Evented(core) => core.shutdown(),
-        }
+        self.core.shutdown();
     }
 
     /// Waits for every thread to exit, then runs the final crack fold-in
@@ -157,20 +92,7 @@ impl<L: FallibleTargetLabeler + 'static> Server<L> {
     /// callers (the CLI exit path) can surface a persistence failure
     /// instead of silently losing the cracked index.
     pub fn join_report(mut self) -> JoinReport {
-        match &mut self.core {
-            CoreHandle::Threaded {
-                acceptor, workers, ..
-            } => {
-                if let Some(acceptor) = acceptor.take() {
-                    let _ = acceptor.join();
-                }
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            CoreHandle::Evented(core) => core.join_threads(),
-        }
+        self.core.join_threads();
         // Background drift-escalation workers finish first so the final
         // crack and the shutdown snapshot see the refreshed assignment.
         self.service.join_background_refreshes();
@@ -200,269 +122,5 @@ impl<L: FallibleTargetLabeler + 'static> Server<L> {
     pub fn shutdown_and_join(self) -> usize {
         self.shutdown();
         self.join()
-    }
-}
-
-/// Spawns the threaded core's acceptor and worker-pool threads onto an
-/// already-bound listener.
-fn start_threaded<L: FallibleTargetLabeler + 'static>(
-    service: Arc<TastiService<L>>,
-    listener: TcpListener,
-    addr: SocketAddr,
-    config: &crate::ServeConfig,
-) -> io::Result<CoreHandle> {
-    let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        shutting_down: AtomicBool::new(false),
-        wake_addr: wake_addr(addr),
-    });
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        let service = Arc::clone(&service);
-        let queue_depth = config.queue_depth;
-        std::thread::Builder::new()
-            .name("tasti-serve-acceptor".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if shared.shutting_down.load(Ordering::SeqCst) {
-                        // The self-connection that woke us (or a late
-                        // client) — refuse politely and stop.
-                        if let Ok(conn) = conn {
-                            service.metrics().connections_rejected_shutdown.incr();
-                            write_rejection(
-                                service.metrics(),
-                                &conn,
-                                &err_response(None, ErrorKind::ShuttingDown, "server is draining"),
-                            );
-                        }
-                        break;
-                    }
-                    let conn = match conn {
-                        Ok(c) => c,
-                        Err(_) => continue,
-                    };
-                    let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    if queue.len() >= queue_depth {
-                        drop(queue);
-                        service.metrics().connections_rejected_overloaded.incr();
-                        write_rejection(
-                            service.metrics(),
-                            &conn,
-                            &err_response(
-                                None,
-                                ErrorKind::Overloaded,
-                                &format!(
-                                    "connection queue full (depth {queue_depth}); retry later"
-                                ),
-                            ),
-                        );
-                        continue;
-                    }
-                    service.metrics().connections_accepted.incr();
-                    queue.push_back(conn);
-                    drop(queue);
-                    shared.available.notify_one();
-                }
-            })?
-    };
-
-    let mut workers = Vec::with_capacity(config.workers.max(1));
-    for i in 0..config.workers.max(1) {
-        let shared = Arc::clone(&shared);
-        let service = Arc::clone(&service);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("tasti-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &service))?,
-        );
-    }
-
-    Ok(CoreHandle::Threaded {
-        shared,
-        acceptor: Some(acceptor),
-        workers,
-    })
-}
-
-/// Rewrites a wildcard bind (`0.0.0.0` / `[::]`) to the matching loopback
-/// address so the shutdown self-connection has a real destination —
-/// connecting *to* a wildcard address is platform-dependent and can fail,
-/// which would leave the acceptor blocked in `accept()` forever.
-fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
-    if addr.ip().is_unspecified() {
-        match addr {
-            SocketAddr::V4(_) => addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into()),
-            SocketAddr::V6(_) => addr.set_ip(std::net::Ipv6Addr::LOCALHOST.into()),
-        }
-    }
-    addr
-}
-
-/// How long a rejection/drain-notice write may block before the courtesy
-/// error line is dropped. The connection closes either way; without this
-/// bound a peer that never reads would park the acceptor (or a draining
-/// worker) indefinitely.
-const REJECT_WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(100);
-
-/// Writes a rejection line with [`REJECT_WRITE_TIMEOUT`] applied, counting
-/// a drop (instead of blocking or erroring) when the peer won't take it.
-/// Shared with the evented core's admission path.
-pub(crate) fn write_rejection(metrics: &ServeMetrics, mut conn: &TcpStream, line: &str) {
-    let _ = conn.set_write_timeout(Some(REJECT_WRITE_TIMEOUT));
-    if writeln!(conn, "{line}").is_err() {
-        metrics.rejection_write_drops.incr();
-    }
-}
-
-/// Flips the drain flag, wakes every parked worker, and unblocks the
-/// acceptor's `accept()` with a throwaway self-connection to the loopback
-/// rewrite of the bound address.
-fn begin_shutdown(shared: &Shared) {
-    if shared.shutting_down.swap(true, Ordering::SeqCst) {
-        return; // already draining
-    }
-    shared.available.notify_all();
-    let _ = TcpStream::connect(shared.wake_addr);
-}
-
-fn worker_loop<L: FallibleTargetLabeler + 'static>(shared: &Shared, service: &TastiService<L>) {
-    loop {
-        let conn = {
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    break Some(conn);
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some(conn) = conn else { return };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            // Drain path: this connection was queued before the flag
-            // flipped but never got a worker. Tell it so, then keep
-            // draining until the queue is empty.
-            service.metrics().connections_rejected_shutdown.incr();
-            write_rejection(
-                service.metrics(),
-                &conn,
-                &err_response(None, ErrorKind::ShuttingDown, "server is draining"),
-            );
-            continue;
-        }
-        serve_connection(shared, service, conn);
-    }
-}
-
-/// How often an idle worker re-checks the drain flag while waiting for the
-/// next request line.
-const IDLE_POLL: std::time::Duration = std::time::Duration::from_millis(200);
-
-/// What [`respond`] wants done with the connection.
-enum Flow {
-    Continue,
-    Close,
-}
-
-/// Parses and answers one request line on the threaded core. Shared by
-/// the steady-state loop and the EOF trailing-line path.
-fn respond<L: FallibleTargetLabeler + 'static>(
-    shared: &Shared,
-    service: &TastiService<L>,
-    writer: &mut TcpStream,
-    line: &str,
-) -> Flow {
-    if line.trim().is_empty() {
-        return Flow::Continue;
-    }
-    let response = match Request::parse_line(line.trim()) {
-        Ok(req) => {
-            let response = service.handle(&req);
-            if req.op == Op::Shutdown {
-                let _ = writeln!(writer, "{response}");
-                let _ = writer.flush();
-                begin_shutdown(shared);
-                return Flow::Close;
-            }
-            response
-        }
-        Err(e) => {
-            service.metrics().requests_total.incr();
-            service.metrics().bad_requests.incr();
-            err_response(e.id, ErrorKind::BadRequest, &e.message)
-        }
-    };
-    if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
-        return Flow::Close;
-    }
-    Flow::Continue
-}
-
-/// Serves one connection to completion: one request line in, one response
-/// line out, until EOF or a `shutdown` request. Reads poll with a short
-/// timeout so an idle keep-alive connection cannot pin a worker past a
-/// drain — on shutdown the client gets a `shutting_down` notice and the
-/// connection closes.
-///
-/// Bytes accumulate in a [`LineBuffer`], never in `read_line`'s string:
-/// a request line straddling the idle-poll timeout survives intact, and a
-/// final unterminated line at EOF is answered instead of discarded.
-fn serve_connection<L: FallibleTargetLabeler + 'static>(
-    shared: &Shared,
-    service: &TastiService<L>,
-    conn: TcpStream,
-) {
-    let _ = conn.set_read_timeout(Some(IDLE_POLL));
-    let mut writer = match conn.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = conn;
-    let mut lines = LineBuffer::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        // Answer every complete buffered line before reading more.
-        while let Some(line) = lines.next_line() {
-            // Invalid UTF-8 is connection-fatal, as it always was.
-            let Ok(line) = line else { return };
-            if let Flow::Close = respond(shared, service, &mut writer, &line) {
-                return;
-            }
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => {
-                // EOF: a one-shot client that forgot the trailing newline
-                // still deserves its answer.
-                if let Some(Ok(line)) = lines.take_trailing() {
-                    let _ = respond(shared, service, &mut writer, &line);
-                }
-                return;
-            }
-            Ok(n) => lines.extend(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    // Farewell to an idle keep-alive connection: bounded
-                    // like any rejection write, so a stalled peer cannot
-                    // pin a worker past the drain.
-                    write_rejection(
-                        service.metrics(),
-                        &writer,
-                        &err_response(None, ErrorKind::ShuttingDown, "server is draining"),
-                    );
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return, // peer vanished mid-line
-        }
     }
 }

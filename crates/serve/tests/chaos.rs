@@ -29,7 +29,7 @@ use tasti_labeler::{
 };
 use tasti_nn::Matrix;
 use tasti_obs::JsonValue;
-use tasti_serve::{Client, Op, Request, ScoreSpec, ServeConfig, ServeCore, Server, TastiService};
+use tasti_serve::{Client, Op, Request, ScoreSpec, ServeConfig, Server, TastiService};
 
 const N_RECORDS: usize = 120;
 
@@ -143,20 +143,10 @@ fn limit_request(seed: u64) -> Request {
 /// 8 clients × 4 mixed queries against an oracle that faults on ~40% of
 /// calls. Retries absorb the retryable ones; fatal faults degrade their
 /// query. Every reply must be typed, every reservation released, and every
-/// record billed at most once. Runs against both serving cores — the
-/// evented core's scheduled-retry timer must preserve every one of these
-/// guarantees.
+/// record billed at most once — the reactor's scheduled-retry timer must
+/// preserve every one of these guarantees.
 #[test]
-fn storm_of_faults_keeps_replies_typed_and_billing_exact_evented() {
-    storm_of_faults_keeps_replies_typed_and_billing_exact(ServeCore::Evented);
-}
-
-#[test]
-fn storm_of_faults_keeps_replies_typed_and_billing_exact_threaded() {
-    storm_of_faults_keeps_replies_typed_and_billing_exact(ServeCore::Threaded);
-}
-
-fn storm_of_faults_keeps_replies_typed_and_billing_exact(core: ServeCore) {
+fn storm_of_faults_keeps_replies_typed_and_billing_exact() {
     let plan = FaultPlan {
         transient_rate: 0.25,
         timeout_rate: 0.1,
@@ -173,7 +163,6 @@ fn storm_of_faults_keeps_replies_typed_and_billing_exact(core: ServeCore) {
         plan,
         breaker,
         ServeConfig {
-            core,
             workers: 8,
             queue_depth: 32,
             ..ServeConfig::default()

@@ -1,8 +1,9 @@
-//! Evented-core tests: the idle keep-alive storm the reactor exists for,
-//! request-level backpressure, cross-core wire parity, and regressions for
-//! the two blocking-I/O data-loss bugs (a request line straddling the
-//! idle-poll timeout was truncated; a final unterminated line at EOF was
-//! discarded unanswered).
+//! Reactor tests: the idle keep-alive storm the reactor exists for,
+//! request-level backpressure, transport transparency (TCP replies equal
+//! the in-process service's, byte for byte), and regressions for two
+//! data-loss bugs a blocking `read_line` front end had (a request line
+//! arriving in chunks across read timeouts was truncated; a final
+//! unterminated line at EOF was discarded unanswered).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -18,8 +19,9 @@ use tasti_labeler::{
     Schema, TargetLabeler,
 };
 use tasti_nn::Matrix;
+use tasti_serve::proto::err_response;
 use tasti_serve::{
-    Client, Op, Reply, Request, ScoreSpec, ServeConfig, ServeCore, Server, TastiService,
+    Client, ErrorKind, Op, Reply, Request, ScoreSpec, ServeConfig, Server, TastiService,
 };
 
 const N_RECORDS: usize = 120;
@@ -82,23 +84,25 @@ fn tiny_index() -> TastiIndex {
     TastiIndex::new(embeddings, Metric::L2, 2, reps, rep_outputs, mink)
 }
 
-fn start_server(config: ServeConfig) -> Server<CountingLabeler> {
+fn tiny_service(config: ServeConfig) -> TastiService<CountingLabeler> {
     let labeler = MeteredLabeler::new(CountingLabeler::default());
-    let service = Arc::new(TastiService::new(tiny_index(), labeler, config));
-    Server::start(service).expect("bind loopback")
+    TastiService::new(tiny_index(), labeler, config)
+}
+
+fn start_server(config: ServeConfig) -> Server<CountingLabeler> {
+    Server::start(Arc::new(tiny_service(config))).expect("bind loopback")
 }
 
 /// The reactor's reason to exist: far more concurrent idle keep-alive
-/// connections than compute threads (64 vs 4 — a 16× ratio the threaded
-/// core cannot reach, where 4 workers cap at 4 concurrent connections),
-/// prompt service on a fresh connection while they all sit parked, and a
-/// clean drain that farewells every one of them.
+/// connections than compute threads (64 vs 4 — a 16× ratio a
+/// thread-per-connection pool cannot reach, where 4 workers cap at 4
+/// concurrent connections), prompt service on a fresh connection while
+/// they all sit parked, and a clean drain that farewells every one of them.
 #[test]
 fn idle_keepalive_storm_outnumbers_compute_threads_16x() {
     const IDLE_CONNS: usize = 64;
     const WORKERS: usize = 4;
     let server = start_server(ServeConfig {
-        core: ServeCore::Evented,
         workers: WORKERS,
         queue_depth: 16,
         max_connections: 256,
@@ -163,8 +167,9 @@ fn idle_keepalive_storm_outnumbers_compute_threads_16x() {
     }
 }
 
-/// Writes `line` (plus the newline) in small chunks with pauses longer
-/// than the threaded core's 200 ms idle poll, then reads one reply line.
+/// Writes `line` (plus the newline) in small chunks with 250 ms pauses
+/// (longer than the 200 ms read timeout the blocking reader polled with),
+/// then reads one reply line.
 fn drip_feed(addr: std::net::SocketAddr, line: &str, chunks: usize) -> Reply {
     let mut conn = TcpStream::connect(addr).expect("connect");
     let bytes = format!("{line}\n").into_bytes();
@@ -172,8 +177,7 @@ fn drip_feed(addr: std::net::SocketAddr, line: &str, chunks: usize) -> Reply {
     for chunk in bytes.chunks(step.max(1)) {
         conn.write_all(chunk).expect("write chunk");
         conn.flush().expect("flush");
-        // Straddle the idle poll: the old read_line loop dropped the
-        // partial line on every timeout tick.
+        // A read_line loop drops the partial line on every empty read.
         std::thread::sleep(Duration::from_millis(250));
     }
     let mut response = String::new();
@@ -183,26 +187,14 @@ fn drip_feed(addr: std::net::SocketAddr, line: &str, chunks: usize) -> Reply {
     Reply::parse(response.trim_end()).expect("parse reply")
 }
 
-#[test]
-fn slow_writer_request_survives_idle_poll_evented() {
-    slow_writer_request_survives_idle_poll(ServeCore::Evented);
-}
-
-#[test]
-fn slow_writer_request_survives_idle_poll_threaded() {
-    slow_writer_request_survives_idle_poll(ServeCore::Threaded);
-}
-
 /// Regression for the data-loss bug: a request line dripped onto the
-/// socket across idle-poll timeouts must be reassembled byte-for-byte.
-/// Against the pre-reactor loop this fails — `BufReader::read_line`
-/// truncated the partial line away on every `WouldBlock`, so the eventual
-/// parse saw a mangled tail and answered `bad_request` (or nothing).
-fn slow_writer_request_survives_idle_poll(core: ServeCore) {
-    let server = start_server(ServeConfig {
-        core,
-        ..ServeConfig::default()
-    });
+/// socket across read timeouts must be reassembled byte-for-byte. A
+/// `BufReader::read_line` loop fails this — it truncates the partial line
+/// away on every `WouldBlock`, so the eventual parse sees a mangled tail
+/// and answers `bad_request` (or nothing).
+#[test]
+fn slow_writer_request_survives_idle_poll() {
+    let server = start_server(ServeConfig::default());
     let reply = drip_feed(server.local_addr(), r#"{"id":11,"op":"index_stats"}"#, 3);
     assert!(
         reply.ok,
@@ -214,25 +206,12 @@ fn slow_writer_request_survives_idle_poll(core: ServeCore) {
     server.shutdown_and_join();
 }
 
-#[test]
-fn unterminated_final_request_is_answered_at_eof_evented() {
-    unterminated_final_request_is_answered_at_eof(ServeCore::Evented);
-}
-
-#[test]
-fn unterminated_final_request_is_answered_at_eof_threaded() {
-    unterminated_final_request_is_answered_at_eof(ServeCore::Threaded);
-}
-
 /// Regression for the EOF data-loss bug: a one-shot client that writes its
-/// request without a trailing newline and half-closes used to have the
-/// request silently discarded (`Ok(0) => return`). Both cores must answer
-/// it.
-fn unterminated_final_request_is_answered_at_eof(core: ServeCore) {
-    let server = start_server(ServeConfig {
-        core,
-        ..ServeConfig::default()
-    });
+/// request without a trailing newline and half-closes must be answered, not
+/// have the request silently discarded (`Ok(0) => return`).
+#[test]
+fn unterminated_final_request_is_answered_at_eof() {
+    let server = start_server(ServeConfig::default());
     let conn = TcpStream::connect(server.local_addr()).expect("connect");
     let mut writer = conn.try_clone().expect("clone");
     writer
@@ -309,7 +288,6 @@ fn full_compute_channel_yields_typed_overloaded_and_connection_survives() {
         tiny_index(),
         labeler,
         ServeConfig {
-            core: ServeCore::Evented,
             workers: 1,
             queue_depth: 1,
             ..ServeConfig::default()
@@ -394,11 +372,14 @@ fn normalize_wall_seconds(line: &str) -> String {
     out
 }
 
-/// The back-compat contract: both cores produce byte-identical response
-/// lines for the same request sequence (modulo wall-clock telemetry),
-/// including the bad-request path.
+/// The transport is transparent: a request script over TCP yields exactly
+/// the lines an identically constructed in-process service returns from
+/// `Request::parse_line` → `handle` (or the bad-request `err_response`),
+/// modulo wall-clock telemetry — the reactor adds and removes no bytes.
+/// Comparing two live runs (not a golden transcript) keeps this
+/// independent of the RNG stream behind the query replies.
 #[test]
-fn wire_replies_are_byte_identical_across_cores() {
+fn transport_adds_and_removes_no_bytes() {
     let script: &[&str] = &[
         r#"{"id":1,"op":"index_stats"}"#,
         r#"{"id":2,"op":"limit_query","score":{"fn":"has_class","class":"car"},"k_matches":3,"seed":7}"#,
@@ -406,32 +387,36 @@ fn wire_replies_are_byte_identical_across_cores() {
         r#"{"id":4,"op":"health"}"#,
         r#"{"id":5,"op":"ebs_aggregate","score":{"fn":"count_class","class":"car"},"error_target":0.2,"seed":9}"#,
     ];
-    let mut transcripts: Vec<Vec<String>> = Vec::new();
-    for core in [ServeCore::Evented, ServeCore::Threaded] {
-        let server = start_server(ServeConfig {
-            core,
-            ..ServeConfig::default()
-        });
-        let conn = TcpStream::connect(server.local_addr()).expect("connect");
-        let mut writer = conn.try_clone().expect("clone");
-        let mut reader = BufReader::new(conn);
-        let mut lines = Vec::new();
-        for raw in script {
-            writeln!(writer, "{raw}").expect("write");
-            writer.flush().expect("flush");
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read");
-            lines.push(normalize_wall_seconds(line.trim_end()));
-        }
-        drop(writer);
-        transcripts.push(lines);
-        server.shutdown_and_join();
+
+    let server = start_server(ServeConfig::default());
+    let conn = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut writer = conn.try_clone().expect("clone");
+    let mut reader = BufReader::new(conn);
+    let mut over_tcp = Vec::new();
+    for raw in script {
+        writeln!(writer, "{raw}").expect("write");
+        writer.flush().expect("flush");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        assert!(
+            line.ends_with('\n'),
+            "reply is one terminated line: {line:?}"
+        );
+        over_tcp.push(normalize_wall_seconds(line.trim_end_matches('\n')));
     }
-    for (i, (evented, threaded)) in transcripts[0].iter().zip(&transcripts[1]).enumerate() {
+    drop(writer);
+    server.shutdown_and_join();
+
+    let service = tiny_service(ServeConfig::default());
+    for (i, raw) in script.iter().enumerate() {
+        let in_process = match Request::parse_line(raw) {
+            Ok(req) => service.handle(&req),
+            Err(e) => err_response(e.id, ErrorKind::BadRequest, &e.message),
+        };
         assert_eq!(
-            evented, threaded,
-            "response {i} diverged between cores for request {:?}",
-            script[i]
+            over_tcp[i],
+            normalize_wall_seconds(&in_process),
+            "response {i} over TCP differs from the in-process reply for {raw:?}"
         );
     }
 }

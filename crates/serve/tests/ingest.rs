@@ -15,9 +15,7 @@ use tasti_labeler::{
 };
 use tasti_nn::Matrix;
 use tasti_obs::json::JsonValue;
-use tasti_serve::{
-    Client, Op, Reply, Request, ScoreSpec, ServeConfig, ServeCore, Server, TastiService,
-};
+use tasti_serve::{Client, Op, Reply, Request, ScoreSpec, ServeConfig, Server, TastiService};
 
 const N_RECORDS: usize = 120;
 
@@ -225,41 +223,38 @@ fn snapshot_watermark_makes_replay_idempotent() {
 }
 
 #[test]
-fn ingest_works_over_the_wire_on_both_cores() {
-    for core in [ServeCore::Evented, ServeCore::Threaded] {
-        let dir = scratch(&format!("wire-{}", core.name()));
-        let svc = service(ServeConfig {
-            core,
-            workers: 2,
-            ingest_dir: Some(dir.clone()),
-            ..ServeConfig::default()
-        });
-        svc.open_ingest().expect("open log");
-        let server = Server::start(Arc::new(svc)).expect("bind loopback");
-        let mut client = Client::connect(server.local_addr()).expect("connect");
+fn ingest_works_over_the_wire() {
+    let dir = scratch("wire");
+    let svc = service(ServeConfig {
+        workers: 2,
+        ingest_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    svc.open_ingest().expect("open log");
+    let server = Server::start(Arc::new(svc)).expect("bind loopback");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
 
-        let reply = client
-            .call(ingest_req(vec![vec![500.0], vec![501.0]], true))
-            .expect("ingest call");
-        assert!(reply.ok, "{core:?}: {:?}", reply.error_message);
-        assert_eq!(result_u64(&reply, "ingested"), Some(2));
+    let reply = client
+        .call(ingest_req(vec![vec![500.0], vec![501.0]], true))
+        .expect("ingest call");
+    assert!(reply.ok, "{:?}", reply.error_message);
+    assert_eq!(result_u64(&reply, "ingested"), Some(2));
 
-        // The ingested records answer queries on the same connection.
-        let mut q = Request::new(Op::LimitQuery);
-        q.score = Some(ScoreSpec::HasClass(ObjectClass::Car));
-        q.k_matches = Some(2);
-        let reply = client.call(q).expect("limit call");
-        assert!(reply.ok, "{core:?}: {:?}", reply.error_message);
+    // The ingested records answer queries on the same connection.
+    let mut q = Request::new(Op::LimitQuery);
+    q.score = Some(ScoreSpec::HasClass(ObjectClass::Car));
+    q.k_matches = Some(2);
+    let reply = client.call(q).expect("limit call");
+    assert!(reply.ok, "{:?}", reply.error_message);
 
-        // And the ingest counters show up in the metrics dump.
-        let reply = client.call(Request::new(Op::Metrics)).expect("metrics");
-        assert!(reply.ok);
-        assert_eq!(result_u64(&reply, "records_ingested"), Some(2));
-        assert_eq!(result_u64(&reply, "ingest_batches"), Some(1));
+    // And the ingest counters show up in the metrics dump.
+    let reply = client.call(Request::new(Op::Metrics)).expect("metrics");
+    assert!(reply.ok);
+    assert_eq!(result_u64(&reply, "records_ingested"), Some(2));
+    assert_eq!(result_u64(&reply, "ingest_batches"), Some(1));
 
-        server.shutdown_and_join();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    server.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

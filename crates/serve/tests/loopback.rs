@@ -18,9 +18,7 @@ use tasti_labeler::{
     Schema, TargetLabeler,
 };
 use tasti_nn::Matrix;
-use tasti_serve::{
-    Client, ClientError, Op, Request, ScoreSpec, ServeConfig, ServeCore, Server, TastiService,
-};
+use tasti_serve::{Client, ClientError, Op, Request, ScoreSpec, ServeConfig, Server, TastiService};
 
 const N_RECORDS: usize = 120;
 
@@ -114,18 +112,8 @@ fn has_car() -> ScoreSpec {
 }
 
 #[test]
-fn concurrent_mixed_queries_are_exactly_once_evented() {
-    concurrent_mixed_queries_are_exactly_once(ServeCore::Evented);
-}
-
-#[test]
-fn concurrent_mixed_queries_are_exactly_once_threaded() {
-    concurrent_mixed_queries_are_exactly_once(ServeCore::Threaded);
-}
-
-fn concurrent_mixed_queries_are_exactly_once(core: ServeCore) {
+fn concurrent_mixed_queries_are_exactly_once() {
     let server = start_server(ServeConfig {
-        core,
         workers: 8,
         queue_depth: 32,
         ..ServeConfig::default()
@@ -227,35 +215,20 @@ fn concurrent_mixed_queries_are_exactly_once(core: ServeCore) {
 
 #[test]
 fn overloaded_connections_get_a_typed_error() {
-    // Pinned to the threaded core: this test's admission mechanics (one
-    // worker owns one connection until EOF, extras queue then overflow)
-    // are specific to the worker-pool architecture. The evented core's
-    // request-level backpressure is covered in tests/evented.rs.
+    // Connection-level admission: the reactor holds at most
+    // `max_connections` sockets; one more is answered and closed.
     let server = start_server(ServeConfig {
-        core: ServeCore::Threaded,
-        workers: 1,
-        queue_depth: 1,
+        max_connections: 1,
         ..ServeConfig::default()
     });
     let addr = server.local_addr();
 
-    // Occupy the only worker: a round-trip guarantees the worker owns this
-    // connection (it holds it until EOF).
+    // Fill the cap: a round-trip guarantees the reactor has admitted (and
+    // still holds) this keep-alive connection.
     let mut held = Client::connect(addr).expect("connect");
     assert!(held.index_stats().expect("stats").ok);
-
-    // Fill the queue. This connection is accepted but never served.
-    let _queued = Client::connect(addr).expect("connect queued");
-    // The acceptor runs asynchronously; wait for it to have queued the
-    // connection before probing admission control.
     let service = Arc::clone(server.service());
-    for _ in 0..200 {
-        if service.metrics().connections_accepted.get() >= 2 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert_eq!(service.metrics().connections_accepted.get(), 2);
+    assert_eq!(service.metrics().connections_accepted.get(), 1);
 
     // One more must be rejected immediately with the typed error.
     let mut rejected = Client::connect(addr).expect("connect rejected");
@@ -268,7 +241,10 @@ fn overloaded_connections_get_a_typed_error() {
         Err(e) => panic!("expected an overloaded reply, got {e}"),
     }
     assert_eq!(service.metrics().connections_rejected_overloaded.get(), 1);
+    assert_eq!(service.metrics().connections_accepted.get(), 1);
 
+    // The admitted connection is unaffected.
+    assert!(held.index_stats().expect("held still served").ok);
     server.shutdown_and_join();
 }
 
@@ -293,20 +269,8 @@ fn service_label_budget_yields_typed_budget_exhausted() {
 }
 
 #[test]
-fn malformed_and_invalid_requests_get_bad_request_evented() {
-    malformed_and_invalid_requests_get_bad_request(ServeCore::Evented);
-}
-
-#[test]
-fn malformed_and_invalid_requests_get_bad_request_threaded() {
-    malformed_and_invalid_requests_get_bad_request(ServeCore::Threaded);
-}
-
-fn malformed_and_invalid_requests_get_bad_request(core: ServeCore) {
-    let server = start_server(ServeConfig {
-        core,
-        ..ServeConfig::default()
-    });
+fn malformed_and_invalid_requests_get_bad_request() {
+    let server = start_server(ServeConfig::default());
     let addr = server.local_addr();
 
     // Raw garbage on the socket.
@@ -347,11 +311,17 @@ fn snapshot_persists_a_loadable_cracked_index() {
     });
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    // Pay for some labels so cracking grows the index first.
+    // Pay for some labels so cracking grows the index first. The three
+    // positive reps (records 60/80/100) top the limit ranking for free, so
+    // asking for five matches is what forces non-rep records to be labeled.
     let mut req = Request::new(Op::LimitQuery);
     req.score = Some(has_car());
-    req.k_matches = Some(3);
+    req.k_matches = Some(5);
     assert!(client.call(req).expect("limit").ok);
+    assert!(
+        server.service().metrics().cracked_reps.get() > 0,
+        "precondition: the query must have cracked the index before the snapshot"
+    );
 
     let reply = client.snapshot().expect("snapshot");
     assert!(reply.ok, "{:?}", reply.error_message);
@@ -372,22 +342,10 @@ fn snapshot_persists_a_loadable_cracked_index() {
 
 #[test]
 fn client_read_deadline_yields_typed_timeout() {
-    // Pinned to the threaded core: the silence this test relies on (a
-    // queued connection that never gets a worker) only exists in the
-    // worker-pool architecture — the reactor answers every connection
-    // promptly.
-    let server = start_server(ServeConfig {
-        core: ServeCore::Threaded,
-        workers: 1,
-        queue_depth: 4,
-        ..ServeConfig::default()
-    });
-    let addr = server.local_addr();
-
-    // Occupy the only worker (a round-trip guarantees ownership), then a
-    // second connection sits in the queue where no response can arrive.
-    let mut held = Client::connect(addr).expect("connect");
-    assert!(held.index_stats().expect("stats").ok);
+    // A `Client` property, so no server: a bare listener that accepts (the
+    // kernel completes the handshake) and never answers.
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = silent.local_addr().expect("addr");
 
     let mut waiting = Client::connect_with_timeouts(
         addr,
@@ -399,9 +357,6 @@ fn client_read_deadline_yields_typed_timeout() {
         Err(ClientError::Timeout(msg)) => assert!(msg.contains("50"), "got: {msg}"),
         other => panic!("expected a typed timeout, got {other:?}"),
     }
-
-    drop(held);
-    server.shutdown_and_join();
 }
 
 #[test]
@@ -429,20 +384,8 @@ fn health_reports_meter_state_and_null_oracle_for_plain_labelers() {
 }
 
 #[test]
-fn shutdown_drains_and_refuses_new_work_evented() {
-    shutdown_drains_and_refuses_new_work(ServeCore::Evented);
-}
-
-#[test]
-fn shutdown_drains_and_refuses_new_work_threaded() {
-    shutdown_drains_and_refuses_new_work(ServeCore::Threaded);
-}
-
-fn shutdown_drains_and_refuses_new_work(core: ServeCore) {
-    let server = start_server(ServeConfig {
-        core,
-        ..ServeConfig::default()
-    });
+fn shutdown_drains_and_refuses_new_work() {
+    let server = start_server(ServeConfig::default());
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");

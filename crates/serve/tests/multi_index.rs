@@ -18,8 +18,7 @@ use tasti_labeler::{
 };
 use tasti_nn::Matrix;
 use tasti_serve::{
-    Client, LabelerFactory, Op, Reply, Request, ScoreSpec, ServeConfig, ServeCore, Server,
-    TastiService,
+    Client, LabelerFactory, Op, Reply, Request, ScoreSpec, ServeConfig, Server, TastiService,
 };
 
 const N_RECORDS: usize = 120;
@@ -428,37 +427,26 @@ fn services_without_a_factory_refuse_wire_loads() {
 #[test]
 fn stalled_rejection_peers_do_not_block_the_acceptor() {
     // Regression: rejection writes used to block without a timeout, so a
-    // peer that never read could park the acceptor and freeze admission
-    // control for everyone. Pinned to the threaded core — the occupancy
-    // mechanics (one worker holds one connection, extras queue then
-    // overflow) are specific to the worker-pool architecture.
+    // peer that never read could park the accept path and freeze admission
+    // control for everyone. The rejection path here is the reactor's
+    // connection cap.
     let server = start_multi_server(ServeConfig {
-        core: ServeCore::Threaded,
-        workers: 1,
-        queue_depth: 1,
+        max_connections: 1,
         ..ServeConfig::default()
     });
     let addr = server.local_addr();
 
-    // Occupy the only worker (the round-trip guarantees ownership), then
-    // fill the queue.
+    // Fill the cap (the round-trip guarantees the reactor holds it).
     let mut held = Client::connect(addr).expect("connect");
     assert!(held.index_stats().expect("stats").ok);
-    let _queued = Client::connect(addr).expect("connect queued");
     let service = Arc::clone(server.service());
-    for _ in 0..200 {
-        if service.metrics().connections_accepted.get() >= 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
 
     // Stalled peers: connect into the rejection path and never read.
     let stalled: Vec<TcpStream> = (0..3)
         .map(|_| TcpStream::connect(addr).expect("connect stalled"))
         .collect();
 
-    // The acceptor must keep answering promptly: later clients get their
+    // Admission must keep answering promptly: later clients get their
     // typed overloaded reply within a short client-side deadline.
     for round in 0..3 {
         let mut rejected = Client::connect_with_timeouts(
@@ -480,23 +468,12 @@ fn stalled_rejection_peers_do_not_block_the_acceptor() {
 }
 
 #[test]
-fn wildcard_bind_server_drains_without_hanging_evented() {
-    wildcard_bind_server_drains_without_hanging(ServeCore::Evented);
-}
-
-#[test]
-fn wildcard_bind_server_drains_without_hanging_threaded() {
-    wildcard_bind_server_drains_without_hanging(ServeCore::Threaded);
-}
-
-fn wildcard_bind_server_drains_without_hanging(core: ServeCore) {
-    // Regression (threaded): begin_shutdown used to self-connect to the
-    // *bound* address — for a wildcard bind (0.0.0.0) that connect can
-    // fail, which left the acceptor blocked in accept() forever. The
-    // evented core needs no self-connection at all (eventfd wakeup), which
-    // this test also pins down.
+fn wildcard_bind_server_drains_without_hanging() {
+    // Regression: a drain that wakes the acceptor by self-connecting to the
+    // *bound* address hangs on a wildcard bind (connecting to 0.0.0.0 can
+    // fail, leaving accept() blocked forever). The reactor wakes through
+    // its eventfd and needs no self-connection, which this pins down.
     let server = start_multi_server(ServeConfig {
-        core,
         addr: "0.0.0.0:0".to_string(),
         ..ServeConfig::default()
     });

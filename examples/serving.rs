@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use tasti::index::persist;
 use tasti::prelude::*;
-use tasti::serve::{Client, Op, Request, ScoreSpec, ServeConfig, ServeCore, Server, TastiService};
+use tasti::serve::{Client, Op, Request, ScoreSpec, ServeConfig, Server, TastiService};
 
 fn main() {
     let video = tasti::data::video::night_street(4_000, 11);
@@ -84,11 +84,8 @@ fn main() {
     let index = persist::load(&path).expect("load index");
     let labeler = MeteredLabeler::new(OracleLabeler::mask_rcnn(dataset.truth_handle()));
     let config = ServeConfig {
-        // The evented reactor is the default core: connections live on one
-        // event-loop thread, the 4 workers only run query/oracle compute.
-        // `ServeCore::Threaded` (or `tasti_cli serve --serve-core threaded`)
-        // is the escape hatch back to the worker-pool front end.
-        core: ServeCore::Evented,
+        // Connections live on the reactor's one event-loop thread; the 4
+        // workers only run query/oracle compute.
         workers: 4,
         snapshot_path: Some(path.clone()),
         ..ServeConfig::default()
@@ -106,7 +103,7 @@ fn main() {
     let server = Server::start(service).expect("bind loopback");
     let addr = server.local_addr();
     println!(
-        "serving (evented core) on {addr} with {} reps (default) + co-tenant 'pretrained'",
+        "serving on {addr} with {} reps (default) + co-tenant 'pretrained'",
         server.service().index().reps().len()
     );
 

@@ -21,7 +21,7 @@ use tasti::prelude::*;
 use tasti::query::{StoppingRule, SupgConfig};
 use tasti::serve::{
     Client, FaultScript, FaultVfs, LabelerFactory, Op as ServeOp, Reply, Request as ServeRequest,
-    ScoreSpec, ServeConfig, ServeCore, Server, TastiService, Vfs, DEFAULT_INDEX_NAME,
+    ScoreSpec, ServeConfig, Server, TastiService, Vfs, DEFAULT_INDEX_NAME,
 };
 use tasti_labeler::Schema;
 
@@ -69,10 +69,6 @@ struct ServeArgs {
     n: usize,
     seed: u64,
     addr: String,
-    /// Front-end architecture: the evented reactor (default) or the
-    /// worker-pool escape hatch (`--serve-core threaded`, kept for one
-    /// release while the reactor beds in).
-    core: ServeCore,
     workers: usize,
     queue_depth: usize,
     snapshot: Option<String>,
@@ -160,8 +156,7 @@ USAGE:
                   [--budget B] [--matches M]
   tasti_cli serve --index [name=]<index.json> [--index name=path]...
                   --dataset <name> --n <records> [--seed S]
-                  [--addr 127.0.0.1:0] [--serve-core evented|threaded]
-                  [--workers W] [--queue-depth Q]
+                  [--addr 127.0.0.1:0] [--workers W] [--queue-depth Q]
                   [--snapshot <path>] [--snapshot-on-shutdown]
                   [--label-budget B] [--no-crack] [--no-degraded]
                   [--fault-transient R] [--fault-timeout R]
@@ -216,12 +211,88 @@ queries keep serving; `probe health` gains a storage section. A damaged
 snapshot falls back to its .prev last-good copy at startup and on
 index-load, with the gap replayed from the ingest log.";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, Vec<String>>, String> {
+/// The flags each subcommand reads; anything else is a usage error rather
+/// than a silently ignored typo.
+const BUILD_FLAGS: &[&str] = &[
+    "dataset",
+    "n",
+    "seed",
+    "train",
+    "reps",
+    "dim",
+    "out",
+    "pretrained-only",
+    "assign",
+    "nprobe",
+];
+const INFO_FLAGS: &[&str] = &["index"];
+const QUERY_FLAGS: &[&str] = &[
+    "index",
+    "dataset",
+    "n",
+    "seed",
+    "class",
+    "min-count",
+    "error",
+    "budget",
+    "matches",
+];
+const SERVE_FLAGS: &[&str] = &[
+    "index",
+    "dataset",
+    "n",
+    "seed",
+    "addr",
+    "workers",
+    "queue-depth",
+    "snapshot",
+    "snapshot-on-shutdown",
+    "label-budget",
+    "no-crack",
+    "no-degraded",
+    "fault-transient",
+    "fault-timeout",
+    "fault-corrupt",
+    "fault-fatal",
+    "fault-seed",
+    "ingest-dir",
+    "drift-threshold",
+    "storage-fault-script",
+    "storage-fault-rate",
+    "storage-fault-seed",
+];
+const PROBE_FLAGS: &[&str] = &[
+    "addr",
+    "class",
+    "min-count",
+    "error",
+    "budget",
+    "matches",
+    "seed",
+    "index",
+    "path",
+    "label-budget",
+    "dataset",
+    "n",
+    "offset",
+    "count",
+];
+
+/// Collects `--name value` pairs (and the valueless switches) for
+/// `command`, rejecting any flag not in `accepted`.
+fn parse_flags(
+    args: &[String],
+    command: &str,
+    accepted: &[&str],
+) -> Result<HashMap<String, Vec<String>>, String> {
     let mut flags: HashMap<String, Vec<String>> = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.contains(&name) {
+                return Err(format!("unknown flag --{name} for '{command}'"));
+            }
             if [
                 "pretrained-only",
                 "snapshot-on-shutdown",
@@ -327,7 +398,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
     match args.first().map(String::as_str) {
         None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
         Some("build") => {
-            let flags = parse_flags(&args[1..])?;
+            let flags = parse_flags(&args[1..], "build", BUILD_FLAGS)?;
             Ok(Command::Build(BuildArgs {
                 dataset: get(&flags, "dataset", None)?,
                 n: get(&flags, "n", None)?,
@@ -350,7 +421,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             }))
         }
         Some("info") => {
-            let flags = parse_flags(&args[1..])?;
+            let flags = parse_flags(&args[1..], "info", INFO_FLAGS)?;
             Ok(Command::Info {
                 index: get(&flags, "index", None)?,
             })
@@ -363,7 +434,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             if !["agg", "supg", "limit"].contains(&kind.as_str()) {
                 return Err(format!("unknown query kind '{kind}' (agg|supg|limit)"));
             }
-            let flags = parse_flags(&args[2..])?;
+            let flags = parse_flags(&args[2..], "query", QUERY_FLAGS)?;
             Ok(Command::Query(QueryArgs {
                 kind,
                 index: get(&flags, "index", None)?,
@@ -378,7 +449,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             }))
         }
         Some("serve") => {
-            let flags = parse_flags(&args[1..])?;
+            let flags = parse_flags(&args[1..], "serve", SERVE_FLAGS)?;
             let (index, preload) =
                 parse_serve_indexes(flags.get("index").map(Vec::as_slice).unwrap_or(&[]))?;
             Ok(Command::Serve(ServeArgs {
@@ -388,7 +459,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 n: get(&flags, "n", None)?,
                 seed: get(&flags, "seed", Some(42))?,
                 addr: get(&flags, "addr", Some("127.0.0.1:0".to_string()))?,
-                core: get(&flags, "serve-core", Some(ServeCore::default()))?,
                 workers: get(&flags, "workers", Some(4))?,
                 queue_depth: get(&flags, "queue-depth", Some(16))?,
                 snapshot: get_opt(&flags, "snapshot")?,
@@ -416,7 +486,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             if probe_op(&op).is_none() {
                 return Err(format!("unknown probe op '{op}'"));
             }
-            let flags = parse_flags(&args[2..])?;
+            let flags = parse_flags(&args[2..], "probe", PROBE_FLAGS)?;
             Ok(Command::Probe(ProbeArgs {
                 op,
                 addr: get(&flags, "addr", None)?,
@@ -735,7 +805,6 @@ fn run_serve(a: &ServeArgs) -> Result<(), String> {
     let truth = dataset.truth_handle();
     let config = ServeConfig {
         addr: a.addr.clone(),
-        core: a.core,
         workers: a.workers.max(1),
         queue_depth: a.queue_depth,
         snapshot_path: a.snapshot.as_ref().map(std::path::PathBuf::from),
@@ -861,12 +930,11 @@ fn serve_until_drained<L: FallibleTargetLabeler + 'static>(
         String::new()
     };
     println!(
-        "serving {} records ({} reps{named}) on {} — {} core, {} workers, queue depth {}; \
+        "serving {} records ({} reps{named}) on {} — {} workers, queue depth {}; \
          drain with: tasti_cli probe shutdown --addr {}",
         a.n,
         n_reps,
         server.local_addr(),
-        a.core.name(),
         a.workers.max(1),
         a.queue_depth,
         server.local_addr(),
@@ -1206,7 +1274,6 @@ mod tests {
         match cmd {
             Command::Serve(a) => {
                 assert_eq!(a.addr, "127.0.0.1:0");
-                assert_eq!(a.core, ServeCore::Evented, "reactor is the default core");
                 assert_eq!(a.workers, 4);
                 assert_eq!(a.queue_depth, 16);
                 assert_eq!(a.snapshot.as_deref(), Some("/tmp/snap.json"));
@@ -1222,7 +1289,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_serve_core_flag() {
+    fn unknown_flags_are_usage_errors_naming_the_flag() {
         let base = [
             "serve",
             "--index",
@@ -1232,16 +1299,16 @@ mod tests {
             "--n",
             "5",
         ];
-        let mut args = s(&base);
-        args.extend(s(&["--serve-core", "threaded"]));
-        match parse(&args).unwrap() {
-            Command::Serve(a) => assert_eq!(a.core, ServeCore::Threaded),
-            other => panic!("wrong parse: {other:?}"),
+        // The removed core selector and a typo of a real flag alike.
+        for (flag, value) in [("--serve-core", "threaded"), ("--worker", "8")] {
+            let mut args = s(&base);
+            args.extend(s(&[flag, value]));
+            let err = parse(&args).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag} for 'serve'"));
         }
-        let mut bad = s(&base);
-        bad.extend(s(&["--serve-core", "green-threads"]));
-        let err = parse(&bad).unwrap_err();
-        assert!(err.contains("serve-core"), "got: {err}");
+        // Each subcommand has its own list: a serve flag is unknown to build.
+        let err = parse(&s(&["build", "--workers", "2"])).unwrap_err();
+        assert_eq!(err, "unknown flag --workers for 'build'");
     }
 
     #[test]
