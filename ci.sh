@@ -2,8 +2,8 @@
 # CI gate: formatting, lints, build, and the tier-1 test suite.
 # Run from the repo root: ./ci.sh
 #
-#   ./ci.sh          full gate (fmt, clippy, allow-audit, build, tests,
-#                    full-depth property tests)
+#   ./ci.sh          full gate (fmt, clippy, allow-audit, doc-drift, build,
+#                    tests, full-depth property tests)
 #   ./ci.sh quick    same gate but property tests run at reduced case
 #                    counts (the `quick-proptest` feature)
 set -euo pipefail
@@ -30,6 +30,27 @@ while IFS=: read -r file line _; do
   fi
 done < <(grep -rnE --include='*.rs' '#\[allow\((clippy::|unsafe_code)' crates src 2>/dev/null || true)
 [ "$unjustified" -eq 0 ]
+
+echo "==> doc-drift: README's rep-assignment knob table names only knobs the code has"
+# Every `IvfParams::<field>` / `--<flag>` in the first column of README's
+# "Rep-assignment knobs" table must be a `pub <field>:` in ann.rs / an entry
+# of tasti_cli's BUILD_FLAGS. An empty extraction (table moved or renamed)
+# fails too, so the guard cannot go quiet.
+knobs=$(awk '/^### Rep-assignment knobs/{on=1;next} /^##/{on=0} on' README.md | awk -F'|' '/^\|/{print $2}')
+build_flags=$(sed -n '/^const BUILD_FLAGS/,/^];/p' src/bin/tasti_cli.rs)
+fields=$(grep -oE 'IvfParams::[a-z_]+' <<<"$knobs" | sed 's/.*:://' || true)
+flags=$(grep -oE -- '`--[a-z][a-z-]*' <<<"$knobs" | sed 's/^`--//' || true)
+drift=0
+[ -n "$fields" ] && [ -n "$flags" ] || { echo "DOC DRIFT: knob table not found in README.md"; drift=1; }
+for field in $fields; do
+  grep -qE "^\s*pub ${field}:" crates/cluster/src/ann.rs ||
+    { echo "DOC DRIFT: README names IvfParams::${field}; ann.rs has no such pub field"; drift=1; }
+done
+for flag in $flags; do
+  grep -q "\"${flag}\"" <<<"$build_flags" ||
+    { echo "DOC DRIFT: README names --${flag}; not in tasti_cli BUILD_FLAGS"; drift=1; }
+done
+[ "$drift" -eq 0 ]
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

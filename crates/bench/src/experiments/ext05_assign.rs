@@ -2,16 +2,16 @@
 //!
 //! Measures the min-k assignment stage in isolation — the dominant
 //! distance-computation cost of index construction — comparing the exact
-//! blocked scan against the IVF candidate stage with each routing codec,
-//! at the two sizes tracked by the `ann_assign` criterion bench. Recall is
-//! measured against the exact table over the *whole* corpus (tie-tolerant
-//! recall@k, the same definition the build-time audit uses), so every row
-//! reports both its speedup and the accuracy it paid for it.
+//! blocked scan against the IVF candidate stage at the two sizes tracked by
+//! the `ann_assign` criterion bench. Recall is measured against the exact
+//! table over the *whole* corpus (tie-tolerant recall@k, the same
+//! definition the build-time audit uses), so every row reports both its
+//! speedup and the accuracy it paid for it.
 
 use crate::report::ExperimentRecord;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use tasti_cluster::{AssignStats, AssignStrategy, IvfParams, Metric, MinKTable, QuantCodec};
+use tasti_cluster::{AssignStats, AssignStrategy, IvfParams, Metric, MinKTable};
 
 const DIM: usize = 32;
 const K: usize = 5;
@@ -24,7 +24,7 @@ pub struct AssignMeasurement {
     pub n: usize,
     /// Representatives assigned against.
     pub n_reps: usize,
-    /// Method label (`exact`, `ivf-f32`, `ivf-f16`, `ivf-int8`).
+    /// Method label (`exact`, `ivf`).
     pub method: &'static str,
     /// Best-of-3 wall-clock seconds, single-threaded.
     pub seconds: f64,
@@ -101,42 +101,26 @@ pub fn measure() -> Vec<AssignMeasurement> {
             stats: None,
         });
 
-        for (method, quant) in [
-            ("ivf-f32", QuantCodec::F32),
-            ("ivf-f16", QuantCodec::F16),
-            ("ivf-int8", QuantCodec::Int8),
-        ] {
-            let strategy = AssignStrategy::Ivf(IvfParams {
-                quant,
-                ..IvfParams::default()
-            });
-            let mut secs = f64::MAX;
-            let mut last = None;
-            for _ in 0..RUNS {
-                let t = std::time::Instant::now();
-                let built = MinKTable::build_with_strategy(
-                    &records,
-                    &reps,
-                    DIM,
-                    K,
-                    Metric::L2,
-                    1,
-                    &strategy,
-                );
-                secs = secs.min(t.elapsed().as_secs_f64());
-                last = Some(built);
-            }
-            let (table, stats) = last.expect("at least one ivf run");
-            out.push(AssignMeasurement {
-                n,
-                n_reps,
-                method,
-                seconds: secs,
-                speedup: exact_secs / secs.max(1e-12),
-                recall: full_recall(&table, &exact_table),
-                stats: Some(stats),
-            });
+        let strategy = AssignStrategy::Ivf(IvfParams::default());
+        let mut secs = f64::MAX;
+        let mut last = None;
+        for _ in 0..RUNS {
+            let t = std::time::Instant::now();
+            let built =
+                MinKTable::build_with_strategy(&records, &reps, DIM, K, Metric::L2, 1, &strategy);
+            secs = secs.min(t.elapsed().as_secs_f64());
+            last = Some(built);
         }
+        let (table, stats) = last.expect("at least one ivf run");
+        out.push(AssignMeasurement {
+            n,
+            n_reps,
+            method: "ivf",
+            seconds: secs,
+            speedup: exact_secs / secs.max(1e-12),
+            recall: full_recall(&table, &exact_table),
+            stats: Some(stats),
+        });
     }
     out
 }

@@ -1,6 +1,6 @@
 //! Criterion benchmark for the ANN-accelerated rep-assignment stage:
-//! exact blocked scan vs the IVF candidate stage (with quantized routing
-//! variants) at the sizes where the paper's indexes actually live.
+//! exact blocked scan vs the IVF candidate stage at the sizes where the
+//! paper's indexes actually live.
 //!
 //! Headline comparison: `assign/exact/*` vs `assign/ivf/*` at
 //! 50k records × 512 reps single-threaded — the ≥2× target tracked in
@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use tasti_cluster::{AssignStrategy, IvfParams, Metric, MinKTable, QuantCodec};
+use tasti_cluster::{AssignStrategy, IvfParams, Metric, MinKTable};
 
 const DIM: usize = 32;
 const K: usize = 5;
@@ -53,29 +53,20 @@ fn bench_assign(c: &mut Criterion) {
                 )
             })
         });
-        for (tag, quant) in [
-            ("ivf", QuantCodec::F32),
-            ("ivf-f16", QuantCodec::F16),
-            ("ivf-int8", QuantCodec::Int8),
-        ] {
-            let strategy = AssignStrategy::Ivf(IvfParams {
-                quant,
-                ..IvfParams::default()
-            });
-            group.bench_with_input(BenchmarkId::new(tag, &label), &(), |b, _| {
-                b.iter(|| {
-                    MinKTable::build_with_strategy(
-                        black_box(&records),
-                        black_box(&reps),
-                        DIM,
-                        K,
-                        Metric::L2,
-                        1,
-                        &strategy,
-                    )
-                })
-            });
-        }
+        let strategy = AssignStrategy::Ivf(IvfParams::default());
+        group.bench_with_input(BenchmarkId::new("ivf", &label), &(), |b, _| {
+            b.iter(|| {
+                MinKTable::build_with_strategy(
+                    black_box(&records),
+                    black_box(&reps),
+                    DIM,
+                    K,
+                    Metric::L2,
+                    1,
+                    &strategy,
+                )
+            })
+        });
     }
     group.finish();
 }

@@ -3,7 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use tasti_cluster::{build_pruned, fpf, Metric, MinKTable};
+use tasti_cluster::{fpf, Metric, MinKTable};
 
 fn random_data(n: usize, dim: usize, seed: u64) -> Vec<f32> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -39,37 +39,5 @@ fn bench_mink_crack(c: &mut Criterion) {
     });
 }
 
-fn clustered(n: usize, dim: usize, seed: u64) -> Vec<f32> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let centers: Vec<Vec<f32>> = (0..8)
-        .map(|_| (0..dim).map(|_| rng.gen_range(-3.0f32..3.0)).collect())
-        .collect();
-    (0..n)
-        .flat_map(|i| {
-            let c = &centers[i % 8];
-            c.iter()
-                .map(|&x| x + rng.gen_range(-0.2f32..0.2))
-                .collect::<Vec<f32>>()
-        })
-        .collect()
-}
-
-fn bench_pruned_build(c: &mut Criterion) {
-    let records = clustered(2000, 32, 7);
-    let reps = clustered(100, 32, 8);
-    c.bench_function("mink_build_pruned_2000x100_k5", |b| {
-        b.iter(|| build_pruned(black_box(&records), black_box(&reps), 32, 5, Metric::L2, 6))
-    });
-    c.bench_function("mink_build_brute_2000x100_k5_clustered", |b| {
-        b.iter(|| MinKTable::build(black_box(&records), black_box(&reps), 32, 5, Metric::L2))
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_fpf,
-    bench_mink_build,
-    bench_mink_crack,
-    bench_pruned_build
-);
+criterion_group!(benches, bench_fpf, bench_mink_build, bench_mink_crack);
 criterion_main!(benches);

@@ -7,8 +7,9 @@
 //! the representatives are clustered into ~`√reps` coarse cells (FPF-seeded
 //! Lloyd iterations), and each record probes only the `nprobe` nearest
 //! cells, refining the union of their members with the *exact* `f32`
-//! distance. The cell members are scored through the quantized rep table
-//! ([`crate::quant`]) so the routing loop reads 2–4× fewer bytes.
+//! distance. Cell members go through the same filter as the exact scan,
+//! [`BatchDistance::exact_if_below`]: a cheap decomposed score decides
+//! whether the exact kernel is worth calling.
 //!
 //! Approximation is bounded by layered safeguards, cheapest first:
 //!
@@ -32,9 +33,8 @@
 //! kernel path and is bit-identical to [`crate::MinKTable::build_parallel`].
 
 use crate::distance::Metric;
-use crate::kernels::{insert_sorted, par_map_row_chunks, vec_norms, BatchDistance, VecNorms};
+use crate::kernels::{insert_sorted, par_map_row_chunks, BatchDistance, QueryCtx};
 use crate::knn::Neighbor;
-use crate::quant::{QuantCodec, QuantizedReps};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -59,9 +59,6 @@ pub struct IvfParams {
     /// exact-fallback rebuild.
     #[serde(default = "default_recall_target")]
     pub recall_target: f32,
-    /// Codec for the quantized rep table the routing loop reads.
-    #[serde(default)]
-    pub quant: QuantCodec,
     /// Low-confidence margin: when the two nearest centroid distances are
     /// within this relative ratio, one extra cell is probed.
     #[serde(default = "default_widen_ratio")]
@@ -86,7 +83,6 @@ impl Default for IvfParams {
             nprobe: 0,
             min_pool: 0,
             recall_target: default_recall_target(),
-            quant: QuantCodec::default(),
             widen_ratio: default_widen_ratio(),
             audit_sample: 0,
         }
@@ -201,8 +197,6 @@ pub struct AssignStats {
     /// Measured recall@k over the audit sample *before* any fallback
     /// (1.0 on the exact path).
     pub audited_recall: f64,
-    /// Quantization codec the routing loop read (`none` on exact).
-    pub quant: &'static str,
     /// Wall-clock seconds in the assignment stage.
     pub seconds: f64,
 }
@@ -222,7 +216,6 @@ impl AssignStats {
             exact_fallback: false,
             audited_records: 0,
             audited_recall: 1.0,
-            quant: "none",
             seconds: 0.0,
         }
     }
@@ -264,11 +257,10 @@ impl WorkerStats {
     }
 }
 
-/// IVF routing structure over the representative set: coarse centroids,
-/// per-cell member lists and radii, and the quantized rep table. Built once
-/// per assignment and kept by `MinKTable` so incremental cracking can keep
-/// routing coherently (rebuild-or-invalidate contract — see
-/// `MinKTable::add_representative`).
+/// IVF routing structure over the representative set: coarse centroids and
+/// per-cell member lists and radii. Built once per assignment and kept by
+/// `MinKTable` so incremental cracking can keep routing coherently
+/// (rebuild-or-invalidate contract — see `MinKTable::add_representative`).
 #[derive(Debug, Clone)]
 pub struct RepRouter {
     metric: Metric,
@@ -281,7 +273,6 @@ pub struct RepRouter {
     /// Max distance from a cell's centroid to any member.
     radii: Vec<f32>,
     max_radius: f32,
-    quant: QuantizedReps,
     params: IvfParams,
     /// Rep count when the router was (re)built from scratch.
     built_reps: usize,
@@ -291,8 +282,7 @@ pub struct RepRouter {
 impl RepRouter {
     /// Builds the router over `reps` (row-major, `dim` columns): FPF-seeded
     /// centroids, two Lloyd refinement iterations, final cell lists and
-    /// radii, plus the quantized rep table. Deterministic (thread-count
-    /// independent).
+    /// radii. Deterministic (thread-count independent).
     pub fn build(reps: &[f32], dim: usize, metric: Metric, params: IvfParams) -> Self {
         assert!(dim > 0, "dim must be positive");
         assert_eq!(reps.len() % dim, 0);
@@ -345,7 +335,6 @@ impl RepRouter {
             radii[c] = radii[c].max(d);
         }
         let max_radius = radii.iter().copied().fold(0.0f32, f32::max);
-        let quant = QuantizedReps::build(reps, dim, metric, params.quant);
 
         Self {
             metric,
@@ -355,7 +344,6 @@ impl RepRouter {
             cells,
             radii,
             max_radius,
-            quant,
             params,
             built_reps: n_reps,
             n_reps,
@@ -408,11 +396,6 @@ impl RepRouter {
         self.dim
     }
 
-    /// Codec of the quantized rep table.
-    pub fn quant_codec(&self) -> QuantCodec {
-        self.quant.codec()
-    }
-
     /// The IVF knobs this router was built with.
     pub fn params(&self) -> &IvfParams {
         &self.params
@@ -427,8 +410,8 @@ impl RepRouter {
     }
 
     /// Registers one new representative (the cracking primitive): the rep
-    /// joins its nearest cell, the cell radius grows to cover it, and the
-    /// quantized table gains its row. `O(n_cells · dim)`.
+    /// joins its nearest cell and the cell radius grows to cover it.
+    /// `O(n_cells · dim)`.
     pub fn add_rep(&mut self, rep_embedding: &[f32]) {
         assert_eq!(rep_embedding.len(), self.dim);
         let mut best = 0usize;
@@ -446,82 +429,57 @@ impl RepRouter {
         self.cells[best].push(self.n_reps as u32);
         self.radii[best] = self.radii[best].max(best_d);
         self.max_radius = self.max_radius.max(best_d);
-        self.quant.push_row(rep_embedding);
         self.n_reps += 1;
     }
 
-    /// Scores cell members through the quantized table and refines the
-    /// survivors exactly, updating the ascending `heap` (≤ `k` entries).
+    /// Offers every member of `cell` to the ascending `heap` (≤ `k`
+    /// entries): once the heap is full a member reaches the exact kernel
+    /// only if `engine`'s filter says it might beat the current k-th best.
     /// Returns the cell's member count (pool contribution).
     fn refine_cell(
         &self,
         cell: usize,
         query: &[f32],
-        qn: &VecNorms,
-        reps: &[f32],
+        ctx: &QueryCtx,
+        engine: &BatchDistance<'_>,
         k: usize,
-        eps: f32,
         heap: &mut Vec<Neighbor>,
     ) -> usize {
         let members = &self.cells[cell];
-        for &j32 in members {
-            let j = j32 as usize;
-            if heap.len() >= k {
+        for &rep in members {
+            let dist = if heap.len() < k {
+                engine.exact(query, rep as usize)
+            } else {
                 let kth = heap[k - 1].dist;
-                let score = self.quant.score(query, qn, reps, j);
-                if !self.quant_passes(score, kth, j, qn, eps) {
-                    continue;
+                match engine.exact_if_below(query, ctx, rep as usize, kth) {
+                    Some(d) if d < kth => {
+                        heap.pop();
+                        d
+                    }
+                    _ => continue,
                 }
-            }
-            let d = self
-                .metric
-                .distance(query, &reps[j * self.dim..(j + 1) * self.dim]);
-            if heap.len() < k {
-                insert_sorted(heap, Neighbor { rep: j32, dist: d });
-            } else if d < heap[k - 1].dist {
-                heap.pop();
-                insert_sorted(heap, Neighbor { rep: j32, dist: d });
-            }
+            };
+            insert_sorted(heap, Neighbor { rep, dist });
         }
         members.len()
     }
 
-    /// Conservative filter: could quantized `score` beat the current
-    /// `kth`-best metric distance once quantization error (`err`) and fp
-    /// slack are credited back? False only when row `j` provably cannot
-    /// improve the heap.
-    fn quant_passes(&self, score: f32, kth: f32, j: usize, qn: &VecNorms, eps: f32) -> bool {
-        let e = self.quant.err(j);
-        match self.metric {
-            Metric::L2 => {
-                let t = kth + e;
-                score < t * t + eps * (qn.sq + self.quant.sq_norm(j) + 1.0)
-            }
-            Metric::SquaredL2 => {
-                let t = kth.max(0.0).sqrt() + e;
-                score < t * t + eps * (qn.sq + self.quant.sq_norm(j) + 1.0)
-            }
-            Metric::L1 => score < kth + e + eps * (qn.l1 + self.quant.l1_norm(j) + 1.0),
-            Metric::Cosine => score < kth + e + 4.0 * eps,
-        }
-    }
-
     /// Routes one record: probes the `nprobe` nearest cells (plus whatever
-    /// the safeguards add) and writes its `k` nearest reps (ascending,
-    /// exact distances) into `out`. `cent`/`heap` are caller scratch.
+    /// the safeguards add) and writes its `k = out.len()` nearest reps
+    /// (ascending, exact distances) into `out`. `engine` is the kernel
+    /// engine over the routed reps; `cent`/`heap` are caller scratch.
     pub(crate) fn route(
         &self,
         query: &[f32],
-        reps: &[f32],
-        k: usize,
+        engine: &BatchDistance<'_>,
         out: &mut [Neighbor],
         cent: &mut Vec<(f32, u32)>,
         heap: &mut Vec<Neighbor>,
         ws: &mut WorkerStats,
     ) {
-        debug_assert_eq!(out.len(), k);
-        let qn = vec_norms(query);
-        let eps = (4.0 * self.dim as f32 + 16.0) * f32::EPSILON;
+        let k = out.len();
+        debug_assert_eq!((engine.metric(), engine.n()), (self.metric, self.n_reps));
+        let ctx = engine.query_ctx(query);
 
         cent.clear();
         for c in 0..self.n_cells {
@@ -553,7 +511,7 @@ impl RepRouter {
             if ci >= base {
                 ws.widenings += 1;
             }
-            pool += self.refine_cell(cent[ci].1 as usize, query, &qn, reps, k, eps, heap);
+            pool += self.refine_cell(cent[ci].1 as usize, query, &ctx, engine, k, heap);
             ci += 1;
         }
         // Safeguard 3: geometric completeness for triangle-inequality
@@ -568,7 +526,7 @@ impl RepRouter {
                 let c = cent[ci].1 as usize;
                 if cent[ci].0 - self.radii[c] < kth {
                     ws.widenings += 1;
-                    pool += self.refine_cell(c, query, &qn, reps, k, eps, heap);
+                    pool += self.refine_cell(c, query, &ctx, engine, k, heap);
                 }
                 ci += 1;
             }
@@ -619,9 +577,9 @@ pub fn assign(
     assert!(n_reps > 0, "need at least one representative");
     let k = k.min(n_reps).max(1);
     let start = std::time::Instant::now();
+    let engine = BatchDistance::new(metric, reps, dim);
 
     let exact = |label: &'static str| -> AssignOutcome {
-        let engine = BatchDistance::new(metric, reps, dim);
         let mut entries = vec![
             Neighbor {
                 rep: 0,
@@ -659,11 +617,11 @@ pub fn assign(
         };
         n_records * k
     ];
-    let merged = route_block(&router, records, reps, dim, k, threads, &mut entries);
+    let merged = route_block(&router, &engine, records, k, threads, &mut entries);
 
     // Safeguard 4: audited recall with exact fallback.
     let audit_n = params.audit_sample_effective(n_records);
-    let recall = audit_recall(records, reps, dim, k, metric, &entries, audit_n);
+    let recall = audit_recall(&engine, records, k, &entries, audit_n);
     let mut stats = AssignStats {
         strategy: "ivf",
         n_records,
@@ -681,11 +639,9 @@ pub fn assign(
         exact_fallback: false,
         audited_records: audit_n,
         audited_recall: recall,
-        quant: params.quant.name(),
         seconds: 0.0,
     };
     if recall + 1e-12 < params.recall_target as f64 {
-        let engine = BatchDistance::new(metric, reps, dim);
         engine.topk_parallel(records, k, threads, &mut entries);
         stats.strategy = "ivf-exact-fallback";
         stats.exact_fallback = true;
@@ -707,18 +663,19 @@ pub fn assign(
 }
 
 /// Routes every record in `records` through `router`, writing `k` ascending
-/// neighbors per record into `entries` (len `n × k`). Parallel over records,
-/// bit-identical at any thread count. Shared by [`assign`] and the
-/// incremental `MinKTable::append_records` path.
+/// neighbors per record into `entries` (len `n × k`). `engine` is the kernel
+/// engine over the router's reps. Parallel over records, bit-identical at
+/// any thread count. Shared by [`assign`] and the incremental
+/// `MinKTable::append_records` path.
 pub(crate) fn route_block(
     router: &RepRouter,
+    engine: &BatchDistance<'_>,
     records: &[f32],
-    reps: &[f32],
-    dim: usize,
     k: usize,
     threads: usize,
     entries: &mut [Neighbor],
 ) -> WorkerStats {
+    let dim = router.dim;
     debug_assert_eq!(entries.len(), (records.len() / dim) * k);
     let worker_stats = par_map_row_chunks(entries, k, threads, |start_row, block| {
         let rows = block.len() / k;
@@ -729,8 +686,7 @@ pub(crate) fn route_block(
             let rec = start_row + r;
             router.route(
                 &records[rec * dim..(rec + 1) * dim],
-                reps,
-                k,
+                engine,
                 &mut block[r * k..(r + 1) * k],
                 &mut cent,
                 &mut heap,
@@ -752,17 +708,16 @@ pub(crate) fn route_block(
 /// distance — the tie-tolerant definition, since equidistant reps are
 /// interchangeable for propagation.
 fn audit_recall(
+    engine: &BatchDistance<'_>,
     records: &[f32],
-    reps: &[f32],
-    dim: usize,
     k: usize,
-    metric: Metric,
     entries: &[Neighbor],
     audit_n: usize,
 ) -> f64 {
     if audit_n == 0 {
         return 1.0;
     }
+    let dim = engine.dim();
     let n_records = records.len() / dim;
     let stride = (n_records / audit_n).max(1);
     let sample: Vec<usize> = (0..audit_n).map(|s| s * stride).collect();
@@ -770,7 +725,6 @@ fn audit_recall(
     for &i in &sample {
         queries.extend_from_slice(&records[i * dim..(i + 1) * dim]);
     }
-    let engine = BatchDistance::new(metric, reps, dim);
     let mut exact = vec![
         Neighbor {
             rep: 0,

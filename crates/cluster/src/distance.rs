@@ -51,8 +51,8 @@ impl Metric {
     }
 
     /// Whether the metric satisfies the triangle inequality (SquaredL2 and
-    /// Cosine do not; callers relying on metric-space bounds — e.g. pruned
-    /// nearest-neighbor search — must check this).
+    /// Cosine do not; callers relying on metric-space bounds — e.g. the IVF
+    /// router's geometric-completeness safeguard — must check this).
     pub fn is_metric(self) -> bool {
         matches!(self, Metric::L2 | Metric::L1)
     }
@@ -66,16 +66,6 @@ fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
         acc += d * d;
     }
     acc
-}
-
-/// Computes the distance from `query` to every row of `data` (row-major,
-/// `dim` columns), writing into `out`.
-pub fn distances_to_all(metric: Metric, query: &[f32], data: &[f32], dim: usize, out: &mut [f32]) {
-    assert_eq!(query.len(), dim);
-    assert_eq!(data.len(), out.len() * dim, "data/out length mismatch");
-    for (o, row) in out.iter_mut().zip(data.chunks_exact(dim)) {
-        *o = metric.distance(query, row);
-    }
 }
 
 #[cfg(test)]
@@ -148,16 +138,6 @@ mod tests {
         assert!(!Metric::SquaredL2.is_metric());
         // Cosine distance violates the triangle inequality in general.
         assert!(!Metric::Cosine.is_metric());
-    }
-
-    #[test]
-    fn distances_to_all_matches_scalar_calls() {
-        let data = [0.0f32, 0.0, 3.0, 4.0, 1.0, 1.0];
-        let mut out = [0.0f32; 3];
-        distances_to_all(Metric::L2, &[0.0, 0.0], &data, 2, &mut out);
-        assert_eq!(out[0], 0.0);
-        assert_eq!(out[1], 5.0);
-        assert!((out[2] - 2.0f32.sqrt()).abs() < 1e-6);
     }
 
     #[test]

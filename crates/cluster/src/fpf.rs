@@ -11,9 +11,9 @@
 //! The inner loop — one distance from the newest representative to every
 //! record per round — runs on the [`crate::kernels::BatchDistance`] engine:
 //! norms are precomputed once, candidates are filtered by the
-//! norm-difference lower bound and the decomposed-dot estimate, and the
-//! scan is split across threads. Results (selected indices, `min_dist`,
-//! cover radius) are bit-identical to the naive scalar scan.
+//! decomposed-dot estimate, and the scan is split across threads. Results
+//! (selected indices, `min_dist`, cover radius) are bit-identical to the
+//! naive scalar scan.
 
 use crate::distance::Metric;
 use crate::kernels::BatchDistance;

@@ -17,10 +17,8 @@
 //! decomposed estimate plus a conservative floating-point error margin,
 //! and only when the candidate could possibly beat the caller's current
 //! threshold does it re-evaluate the pair with the exact naive kernel.
-//! The same margin discipline applies to the norm-difference lower bound
-//! `|‖x‖ − ‖r‖| ≤ d(x, r)` used to skip dot products outright. Because
-//! thresholds only ever *shrink* the candidate set a naive scan would
-//! accept, the surviving updates — and hence FPF selections, min-k
+//! Because thresholds only ever *shrink* the candidate set a naive scan
+//! would accept, the surviving updates — and hence FPF selections, min-k
 //! tables, and cover radii — are exactly the naive ones.
 
 use crate::distance::Metric;
@@ -117,14 +115,12 @@ pub fn vec_norms(v: &[f32]) -> VecNorms {
     }
 }
 
-/// Per-query context: the query's norms plus precomputed slacks for the
-/// norm-difference pruning bound and the decomposed-score filter margin
-/// (both conservative over the whole corpus).
+/// Per-query context: the query's norms plus the query-side part of the
+/// decomposed-score filter margin.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryCtx {
     /// Norms of the query vector.
     pub norms: VecNorms,
-    prune_slack: f32,
     /// Query-side part of the filter margin: the per-candidate margin is
     /// `filter_base + eps·(candidate norm)`, algebraically equal to the
     /// `eps·(q + r + 1)` form used in [`BatchDistance::exact_if_below`].
@@ -152,9 +148,6 @@ pub struct BatchDistance<'a> {
     /// reductions; deliberately generous — a too-large margin only costs a
     /// few extra exact re-evaluations near the threshold.
     eps: f32,
-    max_sq: f32,
-    max_l2: f32,
-    max_l1: f32,
 }
 
 impl<'a> BatchDistance<'a> {
@@ -167,14 +160,8 @@ impl<'a> BatchDistance<'a> {
         let mut sq = Vec::with_capacity(n);
         let mut l2 = Vec::with_capacity(n);
         let mut l1 = Vec::with_capacity(n);
-        let mut max_sq = 0.0f32;
-        let mut max_l2 = 0.0f32;
-        let mut max_l1 = 0.0f32;
         for row in data.chunks_exact(dim) {
             let nm = vec_norms(row);
-            max_sq = max_sq.max(nm.sq);
-            max_l2 = max_l2.max(nm.l2);
-            max_l1 = max_l1.max(nm.l1);
             sq.push(nm.sq);
             l2.push(nm.l2);
             l1.push(nm.l1);
@@ -193,9 +180,6 @@ impl<'a> BatchDistance<'a> {
             sq_f,
             l1_f,
             eps,
-            max_sq,
-            max_l2,
-            max_l1,
         }
     }
 
@@ -219,54 +203,22 @@ impl<'a> BatchDistance<'a> {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Prepares the per-query context (norms + pruning slack).
+    /// Prepares the per-query context (norms + filter margin).
     pub fn query_ctx(&self, query: &[f32]) -> QueryCtx {
         debug_assert_eq!(query.len(), self.dim);
         let norms = vec_norms(query);
-        // Slack for the norm-difference bound, in the metric's distance
-        // units: covers both the error of the computed norms and the error
-        // of the exact kernel the bound is compared against.
-        let prune_slack = match self.metric {
-            Metric::L2 | Metric::SquaredL2 => {
-                (self.eps * (norms.sq + self.max_sq + 1.0)).sqrt()
-                    + self.eps * (norms.l2 + self.max_l2 + 1.0)
-            }
-            Metric::L1 => self.eps * (norms.l1 + self.max_l1 + 1.0),
-            Metric::Cosine => 0.0,
-        };
         let filter_base = match self.metric {
             Metric::L2 | Metric::SquaredL2 => self.eps * (norms.sq + 1.0),
             Metric::L1 => self.eps * (norms.l1 + 1.0),
             Metric::Cosine => 4.0 * self.eps,
         };
-        QueryCtx {
-            norms,
-            prune_slack,
-            filter_base,
-        }
+        QueryCtx { norms, filter_base }
     }
 
     /// Exact naive distance (`Metric::distance`) from `query` to row `i`.
     #[inline]
     pub fn exact(&self, query: &[f32], i: usize) -> f32 {
         self.metric.distance(query, self.row(i))
-    }
-
-    /// Norm-difference lower bound check: `true` when row `i` provably
-    /// cannot achieve a distance `< threshold`, with fp slack folded in so
-    /// the answer is conservative with respect to the exact naive kernel.
-    /// Never prunes under [`Metric::Cosine`] (no such bound exists).
-    #[inline]
-    pub fn norm_bound_prunes(&self, ctx: &QueryCtx, i: usize, threshold: f32) -> bool {
-        match self.metric {
-            Metric::L2 => (ctx.norms.l2 - self.l2[i]).abs() - ctx.prune_slack >= threshold,
-            Metric::SquaredL2 => {
-                let b = (ctx.norms.l2 - self.l2[i]).abs() - ctx.prune_slack;
-                b > 0.0 && b * b >= threshold
-            }
-            Metric::L1 => (ctx.norms.l1 - self.l1[i]).abs() - ctx.prune_slack >= threshold,
-            Metric::Cosine => false,
-        }
     }
 
     /// Decomposed distance estimate plus margin filter: returns the exact

@@ -222,9 +222,9 @@ impl MinKTable {
         )
     }
 
-    /// Assembles a table from raw parts (used by the pruned builder; the
-    /// caller guarantees `entries.len() == n_records · k`, ascending per
-    /// record).
+    /// Assembles a table from raw parts (degenerate-table tests only; the
+    /// caller guarantees `entries.len() == n_records · k`).
+    #[cfg(test)]
     pub(crate) fn from_parts(
         k: usize,
         n_records: usize,
@@ -411,19 +411,18 @@ impl MinKTable {
             }
             None => false,
         };
+        let engine = BatchDistance::new(metric, reps, dim);
         if use_router {
             let router = self.router.as_deref().expect("router checked above");
             ann::route_block(
                 router,
+                &engine,
                 new_records,
-                reps,
-                dim,
                 self.k,
                 0,
                 &mut self.entries[start..],
             );
         } else {
-            let engine = BatchDistance::new(metric, reps, dim);
             engine.topk_parallel(new_records, self.k, 0, &mut self.entries[start..]);
         }
         self.n_records += n_new;

@@ -16,16 +16,11 @@
 //!   construction path above runs on: norms + decomposed dot products with
 //!   an exact-fallback filter, so results stay bit-identical to the naive
 //!   scalar scans.
-//! * [`pruned`] — an exact triangle-inequality-pruned min-k builder that
-//!   skips most distance computations on clustered data.
 //! * [`ann`] — the approximate candidate stage for rep assignment: IVF
 //!   coarse routing over the representatives with layered recall
 //!   safeguards (minimum pool, probe widening, geometric completeness,
 //!   audited recall with exact fallback), feeding the exact kernel for
 //!   refinement.
-//! * [`quant`] — the compact rep-table layouts (f16, symmetric int8) the
-//!   routing loop reads, with per-row metric-space error bounds so
-//!   quantization can never drop an in-pool winner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +30,6 @@ pub mod distance;
 pub mod fpf;
 pub mod kernels;
 pub mod knn;
-pub mod pruned;
-pub mod quant;
 
 pub use ann::{
     planned_cells, AssignStats, AssignStrategy, IvfParams, RepRouter, AUTO_MIN_RECORDS,
@@ -49,5 +42,3 @@ pub use fpf::{
 };
 pub use kernels::{resolve_threads, BatchDistance};
 pub use knn::{KnnError, MinKTable, Neighbor};
-pub use pruned::{build_pruned, build_pruned_with_strategy, PruneStats};
-pub use quant::{f16_bits_to_f32, f32_to_f16_bits, QuantCodec, QuantizedReps};

@@ -7,16 +7,16 @@
 //! 2. Any IVF run either meets its configured recall target on the audited
 //!    sample or falls back to the exact table (`exact_fallback` set), so
 //!    the delivered table never silently violates the bound.
-//! 3. Every distance an IVF table reports is the *exact* metric distance
-//!    (refinement never reads quantized values), so downstream score
-//!    propagation sees the same numerics as an exact build.
+//! 3. Every distance an IVF table reports is the *exact* metric distance,
+//!    so downstream score propagation sees the same numerics as an exact
+//!    build.
 //!
 //! Embeddings cover both clustered (IVF-friendly) and uniform
 //! (IVF-adversarial) shapes; `quick-proptest` lowers case counts for the
 //! ci.sh `ann-audit` gate.
 
 use proptest::prelude::*;
-use tasti_cluster::{AssignStrategy, IvfParams, Metric, MinKTable, QuantCodec};
+use tasti_cluster::{AssignStrategy, IvfParams, Metric, MinKTable};
 
 #[cfg(feature = "quick-proptest")]
 const CASES: u32 = 12;
@@ -64,14 +64,6 @@ fn arb_metric() -> impl Strategy<Value = Metric> {
         3 => Just(Metric::Cosine),
         1 => Just(Metric::L1),
         1 => Just(Metric::SquaredL2),
-    ]
-}
-
-fn arb_quant() -> impl Strategy<Value = QuantCodec> {
-    prop_oneof![
-        Just(QuantCodec::F32),
-        Just(QuantCodec::F16),
-        Just(QuantCodec::Int8),
     ]
 }
 
@@ -165,7 +157,6 @@ proptest! {
         reps in 12usize..=64,
         clustered in prop_oneof![Just(true), Just(false)],
         metric in arb_metric(),
-        quant in arb_quant(),
         nprobe in 1usize..=3,
     ) {
         let records = gen_points(seed, n, dim, clustered);
@@ -174,7 +165,6 @@ proptest! {
         let params = IvfParams {
             nprobe,
             min_pool: k,
-            quant,
             audit_sample: n, // audit the whole corpus: the bound is then global
             ..IvfParams::default()
         };
@@ -207,7 +197,7 @@ proptest! {
         }
 
         // Whatever path ran: reported distances are exact (bitwise equal to
-        // the scalar metric), never quantized.
+        // the scalar metric).
         for i in 0..approx.n_records() {
             let rec = &records[i * dim..(i + 1) * dim];
             for nb in approx.neighbors(i) {

@@ -33,15 +33,14 @@ use tasti_nn::{Adam, Matrix, Mlp, MlpConfig};
 use tasti_obs::{AssignTelemetry, BuildTelemetry, StageRecorder, StageTelemetry};
 
 /// Bridges the cluster crate's assignment stats into the dependency-free
-/// telemetry record the bench runner serializes.
-fn assign_telemetry(stats: &AssignStats) -> AssignTelemetry {
+/// telemetry record the bench runner and the serve `metrics` op serialize.
+pub fn assign_telemetry(stats: &AssignStats) -> AssignTelemetry {
     AssignTelemetry {
         strategy: stats.strategy.to_string(),
         n_records: stats.n_records as u64,
         n_reps: stats.n_reps as u64,
         n_cells: stats.n_cells as u64,
         nprobe: stats.nprobe as u64,
-        quant: stats.quant.to_string(),
         candidate_mean: stats.candidate_mean(),
         candidate_min: stats.candidate_min as u64,
         candidate_max: stats.candidate_max as u64,

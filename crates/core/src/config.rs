@@ -158,6 +158,18 @@ mod tests {
         assert!(!legacy.contains("assign_strategy"));
         let back: TastiConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back.assign_strategy, AssignStrategy::Auto);
+
+        // A config written by an `--assign ivf --nprobe 2` build from when
+        // `IvfParams` had a `quant` codec field: the unknown key is ignored.
+        let old = r#"{"Ivf":{"nprobe":2,"min_pool":0,"recall_target":0.99,"quant":"Int8","widen_ratio":0.15,"audit_sample":0}}"#;
+        let with_quant = json.replace("\"Auto\"", old);
+        assert!(with_quant.contains(old), "literal not spliced");
+        let back: TastiConfig = serde_json::from_str(&with_quant).unwrap();
+        let expected = tasti_cluster::IvfParams {
+            nprobe: 2,
+            ..Default::default()
+        };
+        assert_eq!(back.assign_strategy, AssignStrategy::Ivf(expected));
     }
 
     #[test]

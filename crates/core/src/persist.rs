@@ -535,6 +535,18 @@ mod tests {
         assert!(!legacy.contains("assign_strategy"), "field not stripped");
         let restored = from_json(&legacy).unwrap();
         assert_eq!(restored.assign_strategy(), AssignStrategy::Auto);
+
+        // A snapshot written by an `--assign ivf --nprobe 2` build from when
+        // `IvfParams` had a `quant` codec field: the unknown key is ignored.
+        let old = r#"{"Ivf":{"nprobe":2,"min_pool":0,"recall_target":0.99,"quant":"Int8","widen_ratio":0.15,"audit_sample":0}}"#;
+        let with_quant = json.replace(&encoded, old);
+        assert!(with_quant.contains(old), "literal not spliced");
+        let restored = from_json(&with_quant).unwrap();
+        let expected = IvfParams {
+            nprobe: 2,
+            ..IvfParams::default()
+        };
+        assert_eq!(restored.assign_strategy(), AssignStrategy::Ivf(expected));
     }
 
     #[test]

@@ -393,7 +393,6 @@ mod tests {
             n_reps: 16,
             n_cells: 4,
             nprobe: 2,
-            quant: "none".into(),
             candidate_mean: 8.0,
             candidate_min: 4,
             candidate_max: 16,

@@ -58,8 +58,6 @@ pub struct AssignTelemetry {
     pub n_cells: u64,
     /// Effective base probe count (0 on the exact path).
     pub nprobe: u64,
-    /// Quantization codec used for candidate scoring (`none` on exact).
-    pub quant: String,
     /// Mean per-record candidate-pool size (equals `n_reps` on exact).
     pub candidate_mean: f64,
     /// Smallest per-record candidate pool.
@@ -91,9 +89,7 @@ impl AssignTelemetry {
         out.push_str(&self.n_cells.to_string());
         out.push_str(",\"nprobe\":");
         out.push_str(&self.nprobe.to_string());
-        out.push_str(",\"quant\":\"");
-        push_escaped(out, &self.quant);
-        out.push_str("\",\"candidate_mean\":");
+        out.push_str(",\"candidate_mean\":");
         out.push_str(&fmt_f64(self.candidate_mean));
         out.push_str(",\"candidate_min\":");
         out.push_str(&self.candidate_min.to_string());
@@ -333,7 +329,6 @@ mod tests {
                 n_reps: 64,
                 n_cells: 8,
                 nprobe: 2,
-                quant: "int8".into(),
                 candidate_mean: 17.5,
                 candidate_min: 12,
                 candidate_max: 40,
@@ -345,7 +340,7 @@ mod tests {
             })
             .to_json();
         assert!(j.contains("\"assign\":{\"strategy\":\"ivf\""));
-        assert!(j.contains("\"quant\":\"int8\""));
+        assert!(j.contains("\"nprobe\":2,\"candidate_mean\":17.5"));
         assert!(j.contains("\"probe_widenings\":3"));
         assert!(j.contains("\"exact_fallback\":false"));
         assert!(j.contains("\"audited_recall\":0.9975"));

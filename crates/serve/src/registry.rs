@@ -27,36 +27,15 @@ use std::sync::{Arc, Mutex, RwLock, TryLockError};
 
 use tasti_ingest::Vfs;
 
+use tasti_core::build::assign_telemetry;
 use tasti_core::crack::crack_from_labeler_audited;
 use tasti_core::index::{AppendError, CrackReport, TastiIndex};
 use tasti_core::persist;
 use tasti_core::AssignStats;
 use tasti_labeler::{FallibleTargetLabeler, MeteredLabeler};
-use tasti_obs::{AssignTelemetry, DriftGauge, IngestTelemetry};
+use tasti_obs::{DriftGauge, IngestTelemetry};
 
 use crate::metrics::ServeMetrics;
-
-/// Bridges the cluster crate's assignment stats into the dependency-free
-/// telemetry record the `metrics` op serializes (same mapping
-/// `tasti_core::build` uses for build telemetry).
-fn assign_telemetry(stats: &AssignStats) -> AssignTelemetry {
-    AssignTelemetry {
-        strategy: stats.strategy.to_string(),
-        n_records: stats.n_records as u64,
-        n_reps: stats.n_reps as u64,
-        n_cells: stats.n_cells as u64,
-        nprobe: stats.nprobe as u64,
-        quant: stats.quant.to_string(),
-        candidate_mean: stats.candidate_mean(),
-        candidate_min: stats.candidate_min as u64,
-        candidate_max: stats.candidate_max as u64,
-        probe_widenings: stats.probe_widenings,
-        exact_fallback: stats.exact_fallback,
-        audited_records: stats.audited_records as u64,
-        audited_recall: stats.audited_recall,
-        seconds: stats.seconds,
-    }
-}
 
 /// Anchors a [`DriftGauge`] on an index's current cluster structure:
 /// per-rep mean nearest distances (the radius baseline) and the global
