@@ -2,8 +2,8 @@
 # CI gate: formatting, lints, build, and the tier-1 test suite.
 # Run from the repo root: ./ci.sh
 #
-#   ./ci.sh          full gate (fmt, clippy, allow-audit, doc-drift, build,
-#                    tests, full-depth property tests)
+#   ./ci.sh          full gate (fmt, clippy, allow-audit, doc-drift, doc-paths,
+#                    build, tests, full-depth property tests)
 #   ./ci.sh quick    same gate but property tests run at reduced case
 #                    counts (the `quick-proptest` feature)
 set -euo pipefail
@@ -51,6 +51,20 @@ for flag in $flags; do
     { echo "DOC DRIFT: README names --${flag}; not in tasti_cli BUILD_FLAGS"; drift=1; }
 done
 [ "$drift" -eq 0 ]
+
+echo "==> doc-paths: every source path README/DESIGN/EXPERIMENTS name in backticks exists"
+# A backticked path under crates/, src/, examples/ or perf/ that ends in
+# .rs/.sh/.md/.json/.toml must be a file in the tree, so deleting or moving
+# a module cannot leave the docs pointing at nothing. An empty extraction
+# fails too, like the guard above.
+doc_paths=$(grep -ohE '`(crates|src|examples|perf)/[A-Za-z0-9_./-]+\.(rs|sh|md|json|toml)`' \
+  README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u || true)
+dangling=0
+[ -n "$doc_paths" ] || { echo "DOC PATHS: no backticked source paths found in the docs"; dangling=1; }
+for path in $doc_paths; do
+  [ -e "$path" ] || { echo "DOC PATHS: ${path} is named in the docs but does not exist"; dangling=1; }
+done
+[ "$dangling" -eq 0 ]
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

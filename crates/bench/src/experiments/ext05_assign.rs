@@ -2,8 +2,8 @@
 //!
 //! Measures the min-k assignment stage in isolation — the dominant
 //! distance-computation cost of index construction — comparing the exact
-//! blocked scan against the IVF candidate stage at the two sizes tracked by
-//! the `ann_assign` criterion bench. Recall is measured against the exact
+//! blocked scan against the IVF candidate stage at two tracked sizes
+//! (10k×256 and 50k×512). Recall is measured against the exact
 //! table over the *whole* corpus (tie-tolerant recall@k, the same
 //! definition the build-time audit uses), so every row reports both its
 //! speedup and the accuracy it paid for it.

@@ -201,27 +201,27 @@ struct VersionProbe {
 /// Deserializes an index from a JSON snapshot *body* (version 1 or 2 —
 /// the version-3 file envelope is unwrapped by [`load`], not here).
 ///
-/// The format version is checked **before** the body is parsed: a
-/// well-formed snapshot carrying a different `version` is rejected with
-/// [`PersistError::Version`] even if its body layout is incompatible with
-/// this build's schema (a truncated or otherwise corrupt document is still
-/// [`PersistError::Format`]).
+/// The format version wins over the body: a well-formed snapshot carrying
+/// a different `version` is rejected with [`PersistError::Version`] even if
+/// its body layout is incompatible with this build's schema (a truncated
+/// or otherwise corrupt document is still [`PersistError::Format`]). The
+/// header probe that decides this runs only after the typed parse has
+/// failed, so a loadable snapshot is walked once.
 ///
 /// # Errors
 /// Returns [`PersistError`] on malformed input or version mismatch.
 pub fn from_json(json: &str) -> Result<TastiIndex, PersistError> {
     let supported = MIN_FORMAT_VERSION..=FORMAT_VERSION;
-    let probe: VersionProbe = serde_json::from_str(json)?;
-    match probe.version {
-        Some(v) if !supported.contains(&v) => return Err(PersistError::Version(v)),
-        Some(_) => {}
-        None => {
-            // A JSON document with no version field is not a snapshot of
-            // any revision — fall through to the typed parse for the
-            // field-level error message.
+    let snapshot: IndexSnapshot = serde_json::from_str(json).map_err(|e| {
+        match serde_json::from_str::<VersionProbe>(json) {
+            Ok(VersionProbe { version: Some(v) }) if !supported.contains(&v) => {
+                PersistError::Version(v)
+            }
+            // No version field, a supported one, or not JSON at all: the
+            // typed parse's field-level message is the useful one.
+            _ => PersistError::Format(e),
         }
-    }
-    let snapshot: IndexSnapshot = serde_json::from_str(json)?;
+    })?;
     if !supported.contains(&snapshot.version) {
         return Err(PersistError::Version(snapshot.version));
     }

@@ -240,8 +240,8 @@ pub trait FallibleTargetLabeler: Send + Sync {
 
     /// Offers a replacement backoff timer to resilience middleware in the
     /// stack (see [`crate::RetryTimer`]): an evented serving core calls
-    /// this to turn `thread::sleep` backoff into scheduled reactor
-    /// deadlines. Returns whether any layer installed it; plain labelers
+    /// this to turn `thread::sleep` backoff into a wait its drain can cut
+    /// short. Returns whether any layer installed it; plain labelers
     /// ignore the offer.
     fn install_retry_timer(&self, timer: &std::sync::Arc<dyn crate::RetryTimer>) -> bool {
         let _ = timer;

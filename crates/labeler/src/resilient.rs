@@ -41,9 +41,10 @@ pub trait Clock: Send + Sync {
     fn sleep_micros(&self, micros: u64);
 
     /// Whether time only moves when someone calls [`Clock::sleep_micros`]
-    /// (or an equivalent virtual advance). Schedulers that would otherwise
-    /// park a real thread on a deadline — e.g. a reactor timer wheel — use
-    /// this to fall back to a virtual sleep so tests stay instant.
+    /// (or an equivalent virtual advance). A [`RetryTimer`] that would
+    /// otherwise park a real thread for the delay — e.g. a serving core's
+    /// drain signal — uses this to fall back to a virtual sleep so tests
+    /// stay instant.
     fn is_virtual(&self) -> bool {
         false
     }
@@ -122,9 +123,9 @@ impl Clock for TestClock {
 /// The default [`SleepTimer`] parks the calling thread on the injected
 /// [`Clock`], which is the classic blocking behavior. An evented serving
 /// core installs its own implementation (via
-/// [`FallibleTargetLabeler::install_retry_timer`]) that turns each delay
-/// into a scheduled deadline in a reactor-owned timer wheel, so a graceful
-/// drain can cut a multi-second backoff short instead of waiting it out.
+/// [`FallibleTargetLabeler::install_retry_timer`]) that parks each delay
+/// on a condvar its drain notifies, so a graceful drain can cut a
+/// multi-second backoff short instead of waiting it out.
 ///
 /// Contract: `wait` returns no *later* than `micros` after it was called
 /// (by `clock`'s reckoning), and may return early only when the process is
@@ -221,7 +222,7 @@ pub struct ResilientLabeler<F> {
     breaker_cfg: BreakerConfig,
     clock: Arc<dyn Clock>,
     /// Behind a mutex (not a builder-only field) so a serving core can
-    /// install its reactor timer through shared references after the
+    /// install its own timer through shared references after the
     /// middleware stack is assembled — see
     /// [`FallibleTargetLabeler::install_retry_timer`].
     timer: Mutex<Arc<dyn RetryTimer>>,
@@ -274,14 +275,6 @@ impl<F: FallibleTargetLabeler> ResilientLabeler<F> {
     /// Replaces the breaker configuration (builder-style).
     pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
         self.breaker_cfg = breaker;
-        self
-    }
-
-    /// Replaces the backoff timer (builder-style). Serving cores normally
-    /// use [`FallibleTargetLabeler::install_retry_timer`] instead, which
-    /// works through shared references on an assembled stack.
-    pub fn with_timer(self, timer: Arc<dyn RetryTimer>) -> Self {
-        *self.timer.lock().unwrap_or_else(|e| e.into_inner()) = timer;
         self
     }
 
@@ -398,8 +391,7 @@ impl<F: FallibleTargetLabeler> ResilientLabeler<F> {
                     }
                     // Through the timer seam instead of a raw sleep: the
                     // default parks on the clock, an evented serving core
-                    // schedules a reactor deadline it can cut short on
-                    // drain.
+                    // parks on a signal its drain cuts short.
                     self.timer().wait(&*self.clock, delay);
                 }
             }

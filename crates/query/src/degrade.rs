@@ -163,20 +163,6 @@ pub fn try_ebs_aggregate_batch(
     }
 }
 
-/// Fault-aware [`ebs_aggregate`](crate::agg::ebs_aggregate) (sequential
-/// adapter over [`try_ebs_aggregate_batch`]).
-pub fn try_ebs_aggregate(
-    proxy: &[f64],
-    oracle: &mut dyn FnMut(usize) -> Result<f64, LabelerFault>,
-    config: &AggregationConfig,
-) -> QueryOutcome<AggregationResult> {
-    try_ebs_aggregate_batch(
-        proxy,
-        &mut |records| records.iter().map(|&r| oracle(r)).collect(),
-        config,
-    )
-}
-
 /// Fault-aware [`supg_recall_target_batch`]: on an unrecoverable oracle
 /// fault, degrades to the conservative return-everything answer (τ = 0) —
 /// trivially meeting any recall target, at the worst possible precision.
@@ -204,20 +190,6 @@ pub fn try_supg_recall_target_batch(
             })
         }
     }
-}
-
-/// Fault-aware [`supg_recall_target`](crate::supg::supg_recall_target)
-/// (sequential adapter).
-pub fn try_supg_recall_target(
-    proxy: &[f64],
-    oracle: &mut dyn FnMut(usize) -> Result<bool, LabelerFault>,
-    config: &SupgConfig,
-) -> QueryOutcome<SupgResult> {
-    try_supg_recall_target_batch(
-        proxy,
-        &mut |records| records.iter().map(|&r| oracle(r)).collect(),
-        config,
-    )
 }
 
 /// Fault-aware [`supg_precision_target_batch`]: on an unrecoverable oracle
@@ -248,20 +220,6 @@ pub fn try_supg_precision_target_batch(
             })
         }
     }
-}
-
-/// Fault-aware [`supg_precision_target`](crate::supg::supg_precision_target)
-/// (sequential adapter).
-pub fn try_supg_precision_target(
-    proxy: &[f64],
-    oracle: &mut dyn FnMut(usize) -> Result<bool, LabelerFault>,
-    config: &SupgPrecisionConfig,
-) -> QueryOutcome<SupgPrecisionResult> {
-    try_supg_precision_target_batch(
-        proxy,
-        &mut |records| records.iter().map(|&r| oracle(r)).collect(),
-        config,
-    )
 }
 
 /// Fault-aware [`limit_query_batch`]: on an unrecoverable oracle fault, the
@@ -301,23 +259,6 @@ pub fn try_limit_query_batch(
     }
 }
 
-/// Fault-aware [`limit_query`](crate::limit::limit_query) (sequential
-/// adapter; probes one record per oracle call like the classic entry point).
-pub fn try_limit_query(
-    ranking: &[usize],
-    oracle_match: &mut dyn FnMut(usize) -> Result<bool, LabelerFault>,
-    k_matches: usize,
-    max_scan: usize,
-) -> QueryOutcome<LimitResult> {
-    try_limit_query_batch(
-        ranking,
-        &mut |records| records.iter().map(|&r| oracle_match(r)).collect(),
-        k_matches,
-        max_scan,
-        1,
-    )
-}
-
 /// Fault-aware [`predicate_aggregate_batch`]: on an unrecoverable oracle
 /// fault, the estimate is recomputed from only the samples labeled before
 /// the fault (post-fault draws are discarded, not counted as non-matches)
@@ -346,20 +287,6 @@ pub fn try_predicate_aggregate_batch(
             })
         }
     }
-}
-
-/// Fault-aware [`predicate_aggregate`](crate::agg_pred::predicate_aggregate)
-/// (sequential adapter).
-pub fn try_predicate_aggregate(
-    pred_proxy: &[f64],
-    oracle: &mut dyn FnMut(usize) -> Result<Option<f64>, LabelerFault>,
-    config: &PredicateAggConfig,
-) -> QueryOutcome<PredicateAggResult> {
-    try_predicate_aggregate_batch(
-        pred_proxy,
-        &mut |records| records.iter().map(|&r| oracle(r)).collect(),
-        config,
-    )
 }
 
 #[cfg(test)]
@@ -565,18 +492,19 @@ mod tests {
     }
 
     #[test]
-    fn sequential_adapters_degrade_too() {
+    fn a_record_faulting_mid_batch_degrades_too() {
         let proxy = proxies(200);
         let mut labeled = 0u64;
-        let outcome = try_ebs_aggregate(
+        let mut label_one = |r: usize| {
+            if labeled >= 5 {
+                return Err(LabelerFault::Transient("blip".into()));
+            }
+            labeled += 1;
+            Ok((r % 7) as f64)
+        };
+        let outcome = try_ebs_aggregate_batch(
             &proxy,
-            &mut |r| {
-                if labeled >= 5 {
-                    return Err(LabelerFault::Transient("blip".into()));
-                }
-                labeled += 1;
-                Ok((r % 7) as f64)
-            },
+            &mut |records| records.iter().map(|&r| label_one(r)).collect(),
             &AggregationConfig::default(),
         );
         assert!(outcome.is_degraded());

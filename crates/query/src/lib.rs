@@ -57,10 +57,8 @@ pub use agg_pred::{
     predicate_aggregate, predicate_aggregate_batch, PredicateAggConfig, PredicateAggResult,
 };
 pub use degrade::{
-    try_ebs_aggregate, try_ebs_aggregate_batch, try_limit_query, try_limit_query_batch,
-    try_predicate_aggregate, try_predicate_aggregate_batch, try_supg_precision_target,
-    try_supg_precision_target_batch, try_supg_recall_target, try_supg_recall_target_batch,
-    DegradedResult, QueryOutcome,
+    try_ebs_aggregate_batch, try_limit_query_batch, try_predicate_aggregate_batch,
+    try_supg_precision_target_batch, try_supg_recall_target_batch, DegradedResult, QueryOutcome,
 };
 pub use limit::{limit_query, limit_query_batch, LimitResult};
 pub use sanitize::{desc_nan_last, sanitize_proxies, Sanitized, UnitScale};

@@ -8,8 +8,8 @@ use tasti_ingest::{RealVfs, Vfs};
 /// Configuration for a [`crate::Server`] / [`crate::TastiService`].
 ///
 /// The defaults suit a local deployment: loopback-only on an ephemeral
-/// port, a small compute pool, cracking enabled. Every knob maps to a
-/// `tasti_cli serve` flag.
+/// port, a small compute pool, cracking enabled. Every knob but
+/// `max_connections` maps to a `tasti_cli serve` flag.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address. Port `0` asks the OS for an ephemeral port (read the

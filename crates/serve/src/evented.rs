@@ -1,7 +1,7 @@
 //! The serving core: a readiness-driven reactor front end.
 //!
 //! One reactor thread owns the listener, every client socket (all
-//! nonblocking), the poller, and the timer wheel. Each connection is a
+//! nonblocking), and the poller. Each connection is a
 //! small state machine — read-accumulate (into a [`LineBuffer`], so a
 //! request line arriving in arbitrary chunks is never mangled) → parse →
 //! dispatch → write-drain with backpressure. Compute (request parsing,
@@ -17,10 +17,10 @@
 //! parked worker thread — so the server sustains far more concurrent
 //! connections than it has compute threads.
 //!
-//! The labeler path gets an async face here too: [`ReactorTimer`]
+//! The labeler path gets a drain-aware wait here too: [`DrainSignal`]
 //! implements [`tasti_labeler::RetryTimer`] by parking retry backoff on a
-//! reactor-owned [`TimerWheel`] deadline instead of `thread::sleep`, so a
-//! drain fires every pending backoff immediately instead of waiting it
+//! condvar with the delay as its timeout instead of `thread::sleep`, so a
+//! drain releases every pending backoff immediately instead of waiting it
 //! out. Virtual clocks (tests) keep sleeping virtually and stay instant.
 //!
 //! Ordering contract: one request at a time per connection, responses in
@@ -42,7 +42,6 @@ use crate::metrics::ServeMetrics;
 use crate::poll::{Event, Poller, Waker};
 use crate::proto::{err_response, ErrorKind, Op, Request};
 use crate::service::TastiService;
-use crate::timer::{TimerEntry, TimerWheel};
 
 /// Token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -56,11 +55,6 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// their connections are force-closed (counted in `rejection_write_drops`,
 /// like a dropped admission rejection).
 const DRAIN_GRACE: Duration = Duration::from_millis(150);
-
-/// Slack past the requested delay before a parked backoff waiter gives up
-/// on the wheel (covers slot quantization, and a reactor that died without
-/// firing — the waiter must never wake *early* outside a drain).
-const TIMER_BACKSTOP_SLACK: Duration = Duration::from_millis(250);
 
 /// A request line dispatched to the compute pool.
 struct Job {
@@ -150,46 +144,47 @@ impl<T> Bounded<T> {
     }
 }
 
-/// State shared between the reactor, the compute pool, and parked backoff
-/// waiters.
+/// State shared between the reactor and the compute pool.
 struct ReactorShared {
+    /// [`EventedCore::shutdown`] asked for a drain; the reactor reads it
+    /// once per wakeup until it has begun one.
     shutting_down: AtomicBool,
     waker: Waker,
     completions: Mutex<Vec<Completion>>,
-    wheel: Mutex<TimerWheel>,
     jobs: Bounded<Job>,
 }
 
-/// The scheduled-retry face of `ResilientLabeler` backoff: instead of
-/// `thread::sleep` parking a compute worker blindly, the deadline goes on
-/// the reactor's timer wheel and the worker parks on a condvar the wheel
-/// fires — so a drain (which fires the whole wheel) releases it
-/// immediately. Virtual clocks keep their virtual sleep, so tests running
-/// on `TestClock` stay instant.
-struct ReactorTimer {
-    shared: Arc<ReactorShared>,
+/// The drain-aware face of `ResilientLabeler` backoff: instead of
+/// `thread::sleep` parking a compute worker blindly, the worker parks on
+/// this condvar with the delay as its timeout, and the drain sets the flag
+/// — returning early is allowed then, holding the shutdown hostage for a
+/// multi-second backoff is not. Virtual clocks keep their virtual sleep,
+/// so tests running on `TestClock` stay instant.
+#[derive(Default)]
+struct DrainSignal {
+    draining: Mutex<bool>,
+    cv: Condvar,
 }
 
-impl RetryTimer for ReactorTimer {
+impl DrainSignal {
+    /// Releases every parked waiter, and every later one at once.
+    fn set(&self) {
+        *self.draining.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.cv.notify_all();
+    }
+}
+
+impl RetryTimer for DrainSignal {
     fn wait(&self, clock: &dyn Clock, micros: u64) {
         if clock.is_virtual() {
             clock.sleep_micros(micros);
             return;
         }
-        if self.shared.shutting_down.load(Ordering::SeqCst) {
-            // Draining: returning early is allowed, holding the shutdown
-            // hostage for a multi-second backoff is not.
-            return;
-        }
-        let delay = Duration::from_micros(micros);
-        let entry = TimerEntry::at(Instant::now() + delay);
-        self.shared
-            .wheel
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .schedule(Arc::clone(&entry));
-        self.shared.waker.wake();
-        entry.wait_fired(delay + TIMER_BACKSTOP_SLACK);
+        let draining = self.draining.lock().unwrap_or_else(|e| e.into_inner());
+        let (_guard, _timed_out) = self
+            .cv
+            .wait_timeout_while(draining, Duration::from_micros(micros), |d| !*d)
+            .unwrap_or_else(|e| e.into_inner());
     }
 }
 
@@ -223,8 +218,8 @@ impl EventedCore {
 }
 
 /// Binds the core onto an already-bound listener: spawns the compute pool
-/// and the reactor thread, and installs the scheduled-retry timer into
-/// every registered labeler.
+/// and the reactor thread, and installs the drain-aware retry timer into
+/// the service (every labeler it has registered or registers later).
 pub(crate) fn start<L: FallibleTargetLabeler + 'static>(
     service: Arc<TastiService<L>>,
     listener: TcpListener,
@@ -237,19 +232,11 @@ pub(crate) fn start<L: FallibleTargetLabeler + 'static>(
         shutting_down: AtomicBool::new(false),
         waker: poller.waker(),
         completions: Mutex::new(Vec::new()),
-        wheel: Mutex::new(TimerWheel::new(Instant::now())),
         jobs: Bounded::new(config.queue_depth.max(1)),
     });
 
-    // The async labeler face: backoff deadlines go to the reactor's wheel.
-    // Indexes loaded at runtime (`index_load`) keep the default sleeping
-    // timer — their backoff still works, it just parks a worker.
-    let timer: Arc<dyn RetryTimer> = Arc::new(ReactorTimer {
-        shared: Arc::clone(&shared),
-    });
-    for entry in service.registry().entries() {
-        entry.labeler.install_retry_timer(&timer);
-    }
+    let drain = Arc::new(DrainSignal::default());
+    service.install_retry_timer(Arc::clone(&drain) as Arc<dyn RetryTimer>);
 
     let mut workers = Vec::with_capacity(config.workers.max(1));
     for i in 0..config.workers.max(1) {
@@ -275,6 +262,7 @@ pub(crate) fn start<L: FallibleTargetLabeler + 'static>(
                     conns: HashMap::new(),
                     next_token: TOKEN_FIRST_CONN,
                     max_connections: config.max_connections.max(1),
+                    drain,
                     draining: false,
                     drain_deadline: None,
                 }
@@ -373,8 +361,11 @@ struct Reactor<L: FallibleTargetLabeler + 'static> {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     max_connections: usize,
+    /// Set by [`Reactor::begin_drain`]; parked retry backoffs wait on it.
+    drain: Arc<DrainSignal>,
     draining: bool,
-    drain_deadline: Option<Arc<TimerEntry>>,
+    /// When the current drain grace round ends; sizes the poller timeout.
+    drain_deadline: Option<Instant>,
 }
 
 impl<L: FallibleTargetLabeler + 'static> Reactor<L> {
@@ -388,38 +379,24 @@ impl<L: FallibleTargetLabeler + 'static> Reactor<L> {
                 if self.conns.is_empty() {
                     break;
                 }
-                if self.drain_deadline.as_ref().is_some_and(|d| d.is_fired()) {
+                if self.drain_deadline.is_some_and(|d| Instant::now() >= d) {
                     self.force_close_round();
                     if self.conns.is_empty() {
                         break;
                     }
                 }
             }
-            let timeout = {
-                let wheel = self.shared.wheel.lock().unwrap_or_else(|e| e.into_inner());
-                wheel
-                    .next_deadline()
-                    .map(|d| d.saturating_duration_since(Instant::now()))
-            };
+            let timeout = self
+                .drain_deadline
+                .map(|d| d.saturating_duration_since(Instant::now()));
             events.clear();
             if let Err(e) = self.poller.wait(&mut events, timeout) {
                 eprintln!("tasti-serve: reactor poll failed, shutting down: {e}");
-                self.shared.shutting_down.store(true, Ordering::SeqCst);
                 self.begin_drain();
                 break;
             }
             let woke_at = Instant::now();
-            let metrics = self.service.metrics();
-            metrics.reactor_wakeups.incr();
-            let fired = self
-                .shared
-                .wheel
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .advance(woke_at);
-            if fired > 0 {
-                metrics.reactor_timer_fires.add(fired as u64);
-            }
+            self.service.metrics().reactor_wakeups.incr();
             self.handle_completions();
             for ev in &events {
                 match ev.token {
@@ -654,24 +631,15 @@ impl<L: FallibleTargetLabeler + 'static> Reactor<L> {
     }
 
     /// Starts the drain: close the job channel (queued work still
-    /// finishes), fire every parked backoff immediately, farewell idle
+    /// finishes), release every parked backoff immediately, farewell idle
     /// connections, and give stalled writers a bounded grace.
     fn begin_drain(&mut self) {
         if self.draining {
             return;
         }
         self.draining = true;
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
         self.shared.jobs.close();
-        let fired = self
-            .shared
-            .wheel
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .fire_all();
-        if fired > 0 {
-            self.service.metrics().reactor_timer_fires.add(fired as u64);
-        }
+        self.drain.set();
         let farewell = err_response(None, ErrorKind::ShuttingDown, "server is draining");
         let mut flush: Vec<u64> = Vec::new();
         for (&token, conn) in self.conns.iter_mut() {
@@ -689,13 +657,7 @@ impl<L: FallibleTargetLabeler + 'static> Reactor<L> {
         for token in flush {
             self.flush_conn(token);
         }
-        let deadline = TimerEntry::at(Instant::now() + DRAIN_GRACE);
-        self.shared
-            .wheel
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .schedule(Arc::clone(&deadline));
-        self.drain_deadline = Some(deadline);
+        self.drain_deadline = Some(Instant::now() + DRAIN_GRACE);
     }
 
     /// The drain grace expired: force-close every connection not waiting
@@ -711,16 +673,7 @@ impl<L: FallibleTargetLabeler + 'static> Reactor<L> {
         for token in stalled {
             self.close_conn(token, true);
         }
-        self.drain_deadline = None;
-        if !self.conns.is_empty() {
-            let deadline = TimerEntry::at(Instant::now() + DRAIN_GRACE);
-            self.shared
-                .wheel
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .schedule(Arc::clone(&deadline));
-            self.drain_deadline = Some(deadline);
-        }
+        self.drain_deadline = Some(Instant::now() + DRAIN_GRACE);
     }
 
     /// Removes the connection; `forced` counts undeliverable bytes in

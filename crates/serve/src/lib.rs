@@ -15,7 +15,8 @@
 //!   bounded channel runs the actual queries — so an idle keep-alive
 //!   connection costs a file descriptor, not a thread, a full channel
 //!   answers a typed `overloaded` at once, and `ResilientLabeler` retry
-//!   backoff parks on a reactor timer wheel instead of `thread::sleep`.
+//!   backoff parks on the reactor's drain signal instead of
+//!   `thread::sleep`, so a drain never waits a backoff out.
 //!   Linux only: elsewhere [`Server::start`] returns
 //!   [`std::io::ErrorKind::Unsupported`] — there is no second server.
 //! * [`TastiService`] — the transport-agnostic (and portable) service,
@@ -85,8 +86,6 @@ pub(crate) mod evented;
 pub(crate) mod linebuf;
 #[cfg(target_os = "linux")]
 pub(crate) mod poll;
-#[cfg(target_os = "linux")]
-pub(crate) mod timer;
 
 /// There is deliberately no second backend: off Linux the crate still
 /// builds, so [`TastiService`] can be driven in-process, but the TCP front

@@ -22,9 +22,9 @@ struct OpStats {
 /// Shared operational metrics, dumped verbatim by the `metrics` request.
 #[derive(Debug)]
 pub struct ServeMetrics {
-    /// Connections handed to the worker pool.
+    /// Connections the reactor accepted and registered.
     pub connections_accepted: Counter,
-    /// Connections rejected by admission control (queue full).
+    /// Connections rejected by admission control (at `max_connections`).
     pub connections_rejected_overloaded: Counter,
     /// Connections refused because the server was draining.
     pub connections_rejected_shutdown: Counter,
@@ -86,12 +86,10 @@ pub struct ServeMetrics {
     /// Index loads that recovered from a corrupt/missing snapshot by
     /// falling back to the rotated last-good (`.prev`) copy.
     pub snapshot_fallback_loads: Counter,
-    /// Reactor loop iterations (readiness wakeups + timer/completion
-    /// wakeups). Zero for a service driven in-process, without a socket.
+    /// Reactor loop iterations (readiness wakeups + completion and
+    /// drain-grace wakeups). Zero for a service driven in-process, without
+    /// a socket.
     pub reactor_wakeups: Counter,
-    /// Timer-wheel entries fired (scheduled labeler backoffs, drain
-    /// deadlines — including those fired early by a drain).
-    pub reactor_timer_fires: Counter,
     /// Time the reactor spent processing one wakeup (not waiting).
     reactor_loop_micros: Mutex<Histogram>,
     /// Readiness events delivered per wakeup (ready-queue depth).
@@ -135,7 +133,6 @@ impl ServeMetrics {
             group_commit_batches: Counter::new(),
             snapshot_fallback_loads: Counter::new(),
             reactor_wakeups: Counter::new(),
-            reactor_timer_fires: Counter::new(),
             reactor_loop_micros: Mutex::new(Histogram::default()),
             reactor_ready_events: Mutex::new(Histogram::default()),
             per_op: Default::default(),
@@ -296,8 +293,6 @@ impl ServeMetrics {
             out.push_str("\"reactor\":{");
             out.push_str("\"wakeups\":");
             out.push_str(&self.reactor_wakeups.get().to_string());
-            out.push_str(",\"timer_fires\":");
-            out.push_str(&self.reactor_timer_fires.get().to_string());
             out.push(',');
             summary("loop_micros", &self.reactor_loop_summary(), &mut out);
             out.push(',');
@@ -390,7 +385,6 @@ mod tests {
         assert!(!m.to_json_body().contains("\"reactor\""));
         assert!(!m.to_json_body().contains("requests_rejected_overloaded"));
         m.reactor_wakeups.incr();
-        m.reactor_timer_fires.add(2);
         m.record_reactor_loop(75, 3);
         m.requests_rejected_overloaded.incr();
         let doc = JsonValue::parse(&format!("{{{}}}", m.to_json_body())).unwrap();
@@ -400,7 +394,6 @@ mod tests {
         );
         let reactor = doc.get("reactor").unwrap();
         assert_eq!(reactor.get("wakeups").unwrap().as_u64(), Some(1));
-        assert_eq!(reactor.get("timer_fires").unwrap().as_u64(), Some(2));
         let loop_micros = reactor.get("loop_micros").unwrap();
         assert_eq!(loop_micros.get("count").unwrap().as_u64(), Some(1));
         let ready = reactor.get("ready_events").unwrap();

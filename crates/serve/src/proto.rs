@@ -668,27 +668,16 @@ pub fn ok_response_routed(
 
 /// Builds an error response line.
 pub fn err_response(id: Option<u64>, kind: ErrorKind, message: &str) -> String {
-    err_response_with_retry(id, kind, message, None)
+    err_response_full(id, kind, message, None, None, false)
 }
 
-/// Builds an error response line carrying a retry hint: clients seeing a
-/// `labeler_unavailable` error should back off `retry_after_micros` before
-/// retrying (the server's circuit-breaker window). Omitted when `None`, so
-/// hint-free errors stay byte-identical to the pre-fault-model wire form.
-pub fn err_response_with_retry(
-    id: Option<u64>,
-    kind: ErrorKind,
-    message: &str,
-    retry_after_micros: Option<u64>,
-) -> String {
-    err_response_full(id, kind, message, retry_after_micros, None, false)
-}
-
-/// The full error-response builder: additionally carries the fault
-/// taxonomy of storage failures. `fault_class` names the failing subsystem
-/// (`"storage"` for disk faults) and `read_only` marks that the routed
-/// index has entered read-only degradation. Both are omitted when absent /
-/// false, so every pre-existing error stays byte-identical on the wire.
+/// The full error-response builder. `retry_after_micros` is a retry hint:
+/// clients seeing a `labeler_unavailable` error should back off that long
+/// before retrying (the server's circuit-breaker window). `fault_class`
+/// names the failing subsystem (`"storage"` for disk faults) and
+/// `read_only` marks that the routed index has entered read-only
+/// degradation. All three are omitted when absent / false, so every
+/// hint-free error stays byte-identical to the pre-fault-model wire form.
 pub fn err_response_full(
     id: Option<u64>,
     kind: ErrorKind,
@@ -889,11 +878,13 @@ mod tests {
 
     #[test]
     fn retry_after_hint_round_trips_and_is_elided_when_absent() {
-        let line = err_response_with_retry(
+        let line = err_response_full(
             Some(8),
             ErrorKind::LabelerUnavailable,
             "circuit breaker open",
             Some(750_000),
+            None,
+            false,
         );
         let reply = Reply::parse(&line).unwrap();
         assert!(!reply.ok);

@@ -33,7 +33,7 @@ use tasti_core::scoring::ScoringFunction;
 use tasti_ingest::{LogConfig, SegmentLog};
 use tasti_labeler::{
     BreakerState, FallibleTargetLabeler, FaultKind, LabelerError, LabelerFault, MeteredLabeler,
-    RecordId,
+    RecordId, RetryTimer,
 };
 use tasti_obs::json::{fmt_f64, push_escaped, JsonValue};
 use tasti_obs::{QueryTelemetry, Stopwatch};
@@ -185,6 +185,11 @@ pub struct TastiService<L: FallibleTargetLabeler> {
     snapshot_backoff: Mutex<SnapshotBackoff>,
     /// Background drift-escalation workers, joined at graceful shutdown.
     refresh_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// The serving core's backoff timer, handed to every labeler the
+    /// registry holds or gains; `None` while driven in-process. Held across
+    /// each registration so an index cannot slip in between the install
+    /// sweep and the slot being filled.
+    retry_timer: Mutex<Option<Arc<dyn RetryTimer>>>,
 }
 
 impl<L: FallibleTargetLabeler + 'static> TastiService<L> {
@@ -248,7 +253,30 @@ impl<L: FallibleTargetLabeler + 'static> TastiService<L> {
             ingest_cv: Condvar::new(),
             snapshot_backoff: Mutex::new(SnapshotBackoff::default()),
             refresh_threads: Mutex::new(Vec::new()),
+            retry_timer: Mutex::new(None),
         }
+    }
+
+    /// Installs the serving core's backoff timer into every registered
+    /// labeler stack, and keeps it for indexes registered later
+    /// (`index_load`, [`TastiService::insert_index`]).
+    // Only the reactor calls it, and the reactor is Linux-only.
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    pub(crate) fn install_retry_timer(&self, timer: Arc<dyn RetryTimer>) {
+        let mut slot = self.retry_timer.lock().unwrap_or_else(|e| e.into_inner());
+        for entry in self.registry.entries() {
+            entry.labeler.install_retry_timer(&timer);
+        }
+        *slot = Some(timer);
+    }
+
+    /// Adds `entry` to the registry with the installed backoff timer, if any.
+    fn register(&self, entry: IndexEntry<L>) -> Result<(), String> {
+        let slot = self.retry_timer.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(timer) = slot.as_ref() {
+            entry.labeler.install_retry_timer(timer);
+        }
+        self.registry.insert(entry)
     }
 
     /// Opens the ingest segment log at `config.ingest_dir` and replays
@@ -345,7 +373,7 @@ impl<L: FallibleTargetLabeler + 'static> TastiService<L> {
         label_budget: Option<u64>,
         snapshot_path: Option<std::path::PathBuf>,
     ) -> Result<(), String> {
-        self.registry.insert(IndexEntry::new(
+        self.register(IndexEntry::new(
             name.into(),
             index,
             labeler,
@@ -375,7 +403,7 @@ impl<L: FallibleTargetLabeler + 'static> TastiService<L> {
         }
         let index = report.index;
         let shape = (index.n_records(), index.reps().len());
-        self.registry.insert(IndexEntry::new(
+        self.register(IndexEntry::new(
             name,
             index,
             factory(name),

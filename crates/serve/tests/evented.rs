@@ -1,6 +1,7 @@
 //! Reactor tests: the idle keep-alive storm the reactor exists for,
 //! request-level backpressure, transport transparency (TCP replies equal
-//! the in-process service's, byte for byte), and regressions for two
+//! the in-process service's, byte for byte), a drain releasing a retry
+//! backoff parked on the real clock, and regressions for two
 //! data-loss bugs a blocking `read_line` front end had (a request line
 //! arriving in chunks across read timeouts was truncated; a final
 //! unterminated line at EOF was discarded unanswered).
@@ -15,13 +16,14 @@ use std::time::{Duration, Instant};
 use tasti_cluster::{Metric, MinKTable};
 use tasti_core::index::TastiIndex;
 use tasti_labeler::{
-    BatchTargetLabeler, Detection, LabelCost, LabelerOutput, MeteredLabeler, ObjectClass, RecordId,
-    Schema, TargetLabeler,
+    BatchTargetLabeler, Detection, FaultInjectingLabeler, FaultPlan, LabelCost, LabelerOutput,
+    MeteredLabeler, ObjectClass, RecordId, ResilientLabeler, RetryPolicy, Schema, TargetLabeler,
 };
 use tasti_nn::Matrix;
 use tasti_serve::proto::err_response;
 use tasti_serve::{
-    Client, ErrorKind, Op, Reply, Request, ScoreSpec, ServeConfig, Server, TastiService,
+    Client, ErrorKind, LabelerFactory, Op, Reply, Request, ScoreSpec, ServeConfig, Server,
+    TastiService,
 };
 
 const N_RECORDS: usize = 120;
@@ -419,4 +421,98 @@ fn transport_adds_and_removes_no_bytes() {
             "response {i} over TCP differs from the in-process reply for {raw:?}"
         );
     }
+}
+
+type FlakyOracle = ResilientLabeler<FaultInjectingLabeler<CountingLabeler>>;
+
+/// An oracle that always faults transiently, retried once on the **real**
+/// clock after a 30 s backoff — far longer than any drain may take.
+fn flaky_labeler() -> MeteredLabeler<FlakyOracle> {
+    let always_transient = FaultPlan::transient(1.0, 7);
+    let injecting = FaultInjectingLabeler::new(CountingLabeler::default(), always_transient);
+    MeteredLabeler::new(ResilientLabeler::new(injecting).with_policy(RetryPolicy {
+        max_attempts: 2,
+        base_backoff_micros: 30_000_000,
+        max_backoff_micros: 30_000_000,
+        ..RetryPolicy::default()
+    }))
+}
+
+/// Sends one query to `index` (loading it over the wire first when named),
+/// waits for the oracle's first faulted attempt — so the compute worker is
+/// in, or about to enter, its 30 s backoff — then drains: the server must
+/// be down within 2 s and the query answered with a typed reply.
+fn drain_releases_a_parked_backoff(index: Option<&str>) {
+    let factory: LabelerFactory<FlakyOracle> = Box::new(|_| flaky_labeler());
+    let service = TastiService::with_factory(
+        tiny_index(),
+        flaky_labeler(),
+        ServeConfig::default(),
+        factory,
+    )
+    .expect("service");
+    let server = Server::start(Arc::new(service)).expect("bind loopback");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    if let Some(name) = index {
+        let dir = std::env::temp_dir().join(format!("tasti-evented-drain-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("tenant.tasti.json");
+        tasti_core::persist::save(&tiny_index(), &path).expect("save snapshot");
+        let mut load = Request::new(Op::IndexLoad);
+        load.index = Some(name.to_string());
+        load.path = Some(path.display().to_string());
+        let reply = client.call(load).expect("index_load");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(reply.ok, "{:?}", reply.error_message);
+    }
+    let entry = server.service().registry().get(index).expect("entry");
+
+    let mut query = Request::new(Op::LimitQuery);
+    query.index = index.map(str::to_string);
+    query.score = Some(ScoreSpec::HasClass(ObjectClass::Car));
+    query.k_matches = Some(3);
+    let asker = std::thread::spawn(move || client.call(query));
+
+    let waited = Instant::now();
+    while entry.labeler.inner().inner().inner_calls() == 0 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the query never reached the oracle"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let drain_started = Instant::now();
+    server.shutdown_and_join();
+    let drained_in = drain_started.elapsed();
+    assert!(
+        drained_in < Duration::from_secs(2),
+        "the drain waited out a backoff: {drained_in:?}"
+    );
+
+    let reply = asker
+        .join()
+        .expect("asker")
+        .expect("a reply, not a dropped connection");
+    let degraded = matches!(
+        reply.result.get("degraded"),
+        Some(tasti_obs::JsonValue::Bool(true))
+    );
+    assert!(
+        (reply.ok && degraded) || reply.error_kind.as_deref() == Some("labeler_unavailable"),
+        "reply must be typed: {reply:?}"
+    );
+}
+
+#[test]
+fn drain_releases_a_real_clock_backoff_on_the_default_index() {
+    drain_releases_a_parked_backoff(None);
+}
+
+/// Regression: indexes registered after start used to keep the default
+/// sleeping timer, so a drain waited out their every backoff.
+#[test]
+fn drain_releases_a_real_clock_backoff_on_a_wire_loaded_index() {
+    drain_releases_a_parked_backoff(Some("loaded"));
 }
