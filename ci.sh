@@ -161,6 +161,15 @@ grep -q '"version":1' "$SMOKE/snap.json" \
 SERVE_PID=""
 echo "serve smoke OK (two indexes + slow writer served, drained cleanly, snapshot written)"
 
+echo "==> build-determinism: the serve-smoke index is the same bytes on one core"
+# "Bit-identical at any thread count", end to end and without a knob: the
+# build resolves its worker count from available_parallelism, which under
+# `taskset -c 0` is 1, so this second build runs every stage inline.
+taskset -c 0 "$CLI" build --dataset night-street --n 2000 --seed 7 \
+  --train 100 --reps 200 --out "$SMOKE/idx-1core.json"
+cmp "$SMOKE/idx.json" "$SMOKE/idx-1core.json" \
+  || { echo "build-determinism: index bytes depend on the core count"; exit 1; }
+
 echo "==> ingest smoke: stream rows, kill -9, restart replays every acknowledged record"
 # The server runs over a --n 2100 dataset slice but serves the 2000-record
 # index: rows 2000..2039 are the ingest payload (and the oracle's ground

@@ -8,15 +8,16 @@
 //! small fraction of uniformly random representatives to help average-case
 //! queries; [`SelectionStrategy::FpfWithRandomMix`] implements that.
 //!
-//! The inner loop — one distance from the newest representative to every
-//! record per round — runs on the [`crate::kernels::BatchDistance`] engine:
-//! norms are precomputed once, candidates are filtered by the
-//! decomposed-dot estimate, and the scan is split across threads. Results
-//! (selected indices, `min_dist`, cover radius) are bit-identical to the
-//! naive scalar scan.
+//! The inner loop — the newest representative against every record, per
+//! round — is one [`crate::kernels::FpfScan`] per selection: under L2/L1 it
+//! evaluates only the (record, representative) pairs the triangle
+//! inequality cannot rule out, filters those by the decomposed-dot
+//! estimate, and splits the rows across a worker team spawned once per
+//! selection. Results (selected indices, `min_dist`, cover radius) are
+//! bit-identical to the naive scalar scan.
 
 use crate::distance::Metric;
-use crate::kernels::BatchDistance;
+use crate::kernels::FpfScan;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -45,15 +46,24 @@ pub struct FpfResult {
     pub min_dist: Vec<f32>,
     /// `max(min_dist)` — the cover radius achieved by the selection.
     pub cover_radius: f32,
+    /// (record, selected) pairs whose distance the scan had to look at.
+    pub pairs_evaluated: u64,
+    /// Pairs the triangle inequality ruled out unseen (L2/L1 only);
+    /// `pairs_evaluated + pairs_skipped == n_records · selected.len()`.
+    pub pairs_skipped: u64,
 }
 
 impl FpfResult {
-    fn from_min_dist(selected: Vec<usize>, min_dist: Vec<f32>) -> Self {
+    fn from_scan(scan: FpfScan<'_>) -> Self {
+        let (pairs_evaluated, pairs_skipped) = scan.pair_counts();
+        let (selected, min_dist) = scan.into_parts();
         let cover_radius = min_dist.iter().copied().fold(0.0f32, f32::max);
         FpfResult {
             selected,
             min_dist,
             cover_radius,
+            pairs_evaluated,
+            pairs_skipped,
         }
     }
 }
@@ -71,10 +81,13 @@ impl FpfResult {
 /// assert!(r.cover_radius <= 2.5);
 /// ```
 ///
-/// Runs in `O(n_records · count · dim)` time and `O(n_records)` extra space:
-/// after each selection only the per-record nearest-selected distance is
-/// updated, which is the standard incremental formulation. The scan is
-/// multi-threaded; see [`fpf_threaded`] to control the worker count.
+/// Runs in `O(pairs_evaluated · dim)` time — at most
+/// `n_records · count · dim` — and `O(n_records)` extra space: after each
+/// selection only the per-record nearest-selected distance is updated,
+/// which is the standard incremental formulation. The selected records are
+/// distinct: once every unselected record sits at distance 0 the lowest
+/// unselected one is taken. See [`fpf_threaded`] to control the worker
+/// count.
 pub fn fpf(data: &[f32], dim: usize, count: usize, metric: Metric, first: usize) -> FpfResult {
     fpf_threaded(data, dim, count, metric, first, 0)
 }
@@ -92,67 +105,9 @@ pub fn fpf_threaded(
     let n = data.len() / dim;
     assert_eq!(data.len(), n * dim, "data length not a multiple of dim");
     assert!(first < n, "first index out of range");
-    let count = count.min(n);
-    let engine = BatchDistance::new(metric, data, dim);
-    let mut selected = Vec::with_capacity(count);
-    let mut min_dist = vec![f32::INFINITY; n];
-    let mut next = first;
-    for _ in 0..count {
-        selected.push(next);
-        let (best, _) = engine.update_min_parallel(engine.row(next), &mut min_dist, threads);
-        next = best;
-    }
-    FpfResult::from_min_dist(selected, min_dist)
-}
-
-/// Like [`fpf`] but seeds the selection with an existing set of records
-/// (used by cracking: new representatives extend the old ones).
-pub fn fpf_from(
-    data: &[f32],
-    dim: usize,
-    seed_selected: &[usize],
-    additional: usize,
-    metric: Metric,
-) -> FpfResult {
-    fpf_from_threaded(data, dim, seed_selected, additional, metric, 0)
-}
-
-/// [`fpf_from`] with an explicit thread count (`0` = available
-/// parallelism). The result is identical at any thread count.
-pub fn fpf_from_threaded(
-    data: &[f32],
-    dim: usize,
-    seed_selected: &[usize],
-    additional: usize,
-    metric: Metric,
-    threads: usize,
-) -> FpfResult {
-    let n = data.len() / dim;
-    assert_eq!(data.len(), n * dim);
-    let engine = BatchDistance::new(metric, data, dim);
-    let mut selected: Vec<usize> = seed_selected.to_vec();
-    let mut min_dist = vec![f32::INFINITY; n];
-    for &s in seed_selected {
-        assert!(s < n, "seed index out of range");
-        engine.update_min_parallel(engine.row(s), &mut min_dist, threads);
-    }
-    let additional = additional.min(n.saturating_sub(selected.len()));
-    for _ in 0..additional {
-        let (best, _) =
-            min_dist
-                .iter()
-                .enumerate()
-                .fold((0usize, f32::NEG_INFINITY), |acc, (i, &d)| {
-                    if d > acc.1 {
-                        (i, d)
-                    } else {
-                        acc
-                    }
-                });
-        selected.push(best);
-        engine.update_min_parallel(engine.row(best), &mut min_dist, threads);
-    }
-    FpfResult::from_min_dist(selected, min_dist)
+    let mut scan = FpfScan::new(metric, data, dim, threads);
+    scan.grow(first, count.min(n));
+    FpfResult::from_scan(scan)
 }
 
 /// Uniform random selection of `count` distinct records, with the per-record
@@ -170,7 +125,9 @@ pub fn random_selection(
     let mut indices: Vec<usize> = (0..n).collect();
     indices.shuffle(rng);
     indices.truncate(count);
-    finish_selection(data, dim, indices, metric, 0)
+    let mut scan = FpfScan::new(metric, data, dim, 0);
+    scan.push_all(&indices);
+    FpfResult::from_scan(scan)
 }
 
 /// Dispatches on [`SelectionStrategy`]. The `first` record seeds FPF runs;
@@ -212,32 +169,19 @@ pub fn select_threaded(
             let n_random =
                 ((count as f32 * random_fraction.clamp(0.0, 1.0)).round() as usize).min(count);
             let n_fpf = count - n_random;
-            let base = fpf_threaded(data, dim, n_fpf, metric, first, threads);
-            let mut chosen: Vec<usize> = base.selected;
-            let already: std::collections::HashSet<usize> = chosen.iter().copied().collect();
+            // The random picks are folded into the FPF prefix's scan: a
+            // minimum over exact distances does not depend on the order.
+            let mut scan = FpfScan::new(metric, data, dim, threads);
+            scan.grow(first, n_fpf);
+            let already: std::collections::HashSet<usize> =
+                scan.centres().iter().copied().collect();
             let mut pool: Vec<usize> = (0..n).filter(|i| !already.contains(i)).collect();
             pool.shuffle(rng);
-            chosen.extend(pool.into_iter().take(n_random));
-            finish_selection(data, dim, chosen, metric, threads)
+            pool.truncate(n_random);
+            scan.push_all(&pool);
+            FpfResult::from_scan(scan)
         }
     }
-}
-
-/// Computes `min_dist` / `cover_radius` for an externally chosen selection.
-fn finish_selection(
-    data: &[f32],
-    dim: usize,
-    selected: Vec<usize>,
-    metric: Metric,
-    threads: usize,
-) -> FpfResult {
-    let n = data.len() / dim;
-    let engine = BatchDistance::new(metric, data, dim);
-    let mut min_dist = vec![f32::INFINITY; n];
-    for &s in &selected {
-        engine.update_min_parallel(engine.row(s), &mut min_dist, threads);
-    }
-    FpfResult::from_min_dist(selected, min_dist)
 }
 
 #[cfg(test)]
@@ -322,19 +266,72 @@ mod tests {
     }
 
     #[test]
-    fn fpf_from_extends_existing_selection() {
-        let data = line(11);
-        let base = fpf(&data, 1, 2, Metric::L2, 0); // {0, 10}
-        let ext = fpf_from(&data, 1, &base.selected, 1, Metric::L2);
-        assert_eq!(ext.selected, vec![0, 10, 5]);
-        assert!(ext.cover_radius <= base.cover_radius);
+    fn fpf_never_reselects_when_the_rest_is_at_distance_zero() {
+        // Two distinct values, four picks: after {0, 2} every unselected
+        // row is a duplicate of a selected one, so the lowest unselected
+        // rows follow instead of row 0 again.
+        let r = fpf(&[0.0, 0.0, 1.0, 1.0, 1.0], 1, 4, Metric::L2, 0);
+        assert_eq!(r.selected, vec![0, 2, 1, 3]);
+        assert_eq!(r.cover_radius, 0.0);
     }
 
     #[test]
-    fn fpf_from_with_empty_seed_behaves_like_fresh_fpf_after_first_pick() {
-        let data = line(5);
-        let ext = fpf_from(&data, 1, &[], 2, Metric::L2);
-        assert_eq!(ext.selected.len(), 2);
+    fn fpf_never_reselects_an_unreachable_row() {
+        // Row 1 is NaN: at distance ∞ from everything, itself included, so
+        // it stays the argmax of `min_dist` after it has been selected.
+        let r = fpf(&[0.0, f32::NAN, 1.0, 2.0], 1, 3, Metric::L2, 0);
+        assert_eq!(r.selected, vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn every_strategy_selects_distinct_records_up_to_the_population() {
+        // Three distinct embeddings, six records, budget above both.
+        let data = [0.0f32, 0.0, 5.0, 5.0, 9.0, 9.0];
+        for strategy in [
+            SelectionStrategy::Fpf,
+            SelectionStrategy::Random,
+            SelectionStrategy::FpfWithRandomMix {
+                random_fraction: 0.5,
+            },
+        ] {
+            for count in [4usize, 6, 10] {
+                let mut rng = ChaCha8Rng::seed_from_u64(13);
+                let r = select(&data, 1, count, Metric::L2, strategy, 0, &mut rng);
+                let mut sorted = r.selected.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), count.min(6), "{strategy:?} count {count}");
+                assert_eq!(r.selected.len(), count.min(6), "{strategy:?} count {count}");
+            }
+        }
+    }
+
+    #[test]
+    fn clustered_data_skips_most_pairs_and_cosine_skips_none() {
+        // 40 tight blobs of 50 points, 40 picks: once each blob has a
+        // centre, a new centre in one blob rules out every other blob.
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut data = Vec::new();
+        for blob in 0..40 {
+            for _ in 0..50 {
+                data.push(10.0 * (blob % 8) as f32 + rng.gen_range(-0.1f32..0.1));
+                data.push(10.0 * (blob / 8) as f32 + rng.gen_range(-0.1f32..0.1));
+            }
+        }
+        let pairs = 2000 * 80;
+        for metric in [Metric::L2, Metric::L1] {
+            let r = fpf(&data, 2, 80, metric, 0);
+            assert_eq!(r.pairs_evaluated + r.pairs_skipped, pairs);
+            assert!(
+                r.pairs_evaluated < pairs / 2,
+                "{metric:?}: evaluated {} of {pairs}",
+                r.pairs_evaluated
+            );
+        }
+        for metric in [Metric::Cosine, Metric::SquaredL2] {
+            let r = fpf(&data, 2, 80, metric, 0);
+            assert_eq!((r.pairs_evaluated, r.pairs_skipped), (pairs, 0));
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use crate::distance::Metric;
 use crate::knn::Neighbor;
+use std::sync::{Barrier, Mutex};
 
 /// Resolves a thread-count knob: `0` means the machine's available
 /// parallelism (uncapped), anything else is taken literally.
@@ -266,6 +267,9 @@ impl<'a> BatchDistance<'a> {
     /// folded into the score (`sq_f`/`l1_f`), so the score is comparable
     /// against the candidate-independent [`BatchDistance::filter_bound`];
     /// L2 scores live in *squared* distance space.
+    // Out of line on purpose: inlined into `topk_into`'s tile loop, its
+    // only caller, the min-k build measures 5 % slower (20 000 × 800 × 32).
+    #[inline(never)]
     fn scores_block(&self, query: &[f32], ctx: &QueryCtx, c0: usize, c1: usize, buf: &mut [f32]) {
         debug_assert_eq!(buf.len(), c1 - c0);
         let rows = &self.data[c0 * self.dim..c1 * self.dim];
@@ -313,64 +317,38 @@ impl<'a> BatchDistance<'a> {
         }
     }
 
-    /// One FPF/cover update step over a contiguous block of the corpus
-    /// starting at row `start`: `min_dist[j]` is lowered to
-    /// `d(query, row start+j)` where that improves, and the block's
-    /// running argmax of the *updated* `min_dist` is returned
-    /// (`(offset_in_block, value)`, first-strict-max like the naive scan).
-    pub fn update_min_block(
-        &self,
-        query: &[f32],
-        ctx: &QueryCtx,
-        start: usize,
-        min_dist: &mut [f32],
-    ) -> (usize, f32) {
-        const TILE: usize = 512;
-        let mut buf = [0.0f32; TILE];
-        let mut best = 0usize;
-        let mut best_d = f32::NEG_INFINITY;
-        for (tile_idx, md_tile) in min_dist.chunks_mut(TILE).enumerate() {
-            let c0 = start + tile_idx * TILE;
-            let scores = &mut buf[..md_tile.len()];
-            self.scores_block(query, ctx, c0, c0 + md_tile.len(), scores);
-            for (j, (md, &s)) in md_tile.iter_mut().zip(scores.iter()).enumerate() {
-                let cur = *md;
-                if s < self.filter_bound(ctx, cur) {
-                    let d = self.exact(query, c0 + j);
-                    if d < cur {
-                        *md = d;
-                    }
-                }
-                if *md > best_d {
-                    best_d = *md;
-                    best = tile_idx * TILE + j;
-                }
-            }
+    /// Triangle-inequality skip bound (L2 and L1 only). `gap` is the exact
+    /// `Metric::distance` between a new centre `c` and an earlier centre
+    /// `p`; a row whose stored distance to `p` is `<=` the returned value
+    /// is no closer to `c` *as `Metric::distance` computes it*, so the
+    /// naive scan's `d < min_dist` is false and the row needs no
+    /// evaluation. `NEG_INFINITY` (never skip) for a non-finite gap.
+    ///
+    /// Derivation. Write `u = EPSILON/2`, `D` for the real and `D̂` for the
+    /// computed distance. `Metric::distance` adds `dim` rounded
+    /// non-negative terms serially. L1: `D̂ = D·(1+θ)`, `|θ| ≤ dim·u`, and
+    /// no absolute term because f32 add/sub is exact in the subnormal
+    /// range. L2 squares each rounded difference (`3u`), sums (`dim − 1`
+    /// more), and takes a root that halves the total and adds a rounding:
+    /// `|θ| ≤ (dim/2 + 2)·u`, plus an absolute `β ≤ √dim·2⁻⁷⁵` for squares
+    /// that underflow (each loses at most 2⁻¹⁵⁰). Let `a = dim·u` cover
+    /// both. `D(r,c) ≥ D(c,p) − D(r,p)` then gives `D̂(r,c) ≥ D̂(r,p)`
+    /// whenever `D̂(r,p) ≤ ½·[(1−a)/(1+a)·(D̂(c,p) − β) − 2β]`. The code
+    /// shrinks the gap by `(2·dim + 8)·EPSILON` — twice the
+    /// `2a = dim·EPSILON` the bound needs, the rest absorbing second-order
+    /// terms and the rounding of this expression itself — and subtracts
+    /// `√(dim·MIN_POSITIVE) = √dim·2⁻⁶³ ≫ 3β`. A finite `D̂` proves that no
+    /// intermediate overflowed, so the error model held.
+    #[inline]
+    fn triangle_skip_bound(&self, gap: f32) -> f32 {
+        debug_assert!(self.metric.is_metric());
+        if !gap.is_finite() {
+            return f32::NEG_INFINITY;
         }
-        (best, best_d)
-    }
-
-    /// Multi-threaded [`BatchDistance::update_min_block`] over the whole
-    /// corpus. Returns the global argmax `(row, value)` of the updated
-    /// `min_dist`, identical to a serial first-strict-max scan.
-    pub fn update_min_parallel(
-        &self,
-        query: &[f32],
-        min_dist: &mut [f32],
-        threads: usize,
-    ) -> (usize, f32) {
-        let ctx = self.query_ctx(query);
-        let partials = par_map_row_chunks(min_dist, 1, threads, |start, block| {
-            let (j, v) = self.update_min_block(query, &ctx, start, block);
-            (start + j, v)
-        });
-        let mut best = (0usize, f32::NEG_INFINITY);
-        for (i, v) in partials {
-            if v > best.1 {
-                best = (i, v);
-            }
-        }
-        best
+        let dim = self.dim as f32;
+        let rel = (2.0 * dim + 8.0) * f32::EPSILON;
+        let abs = (dim * f32::MIN_POSITIVE).sqrt();
+        0.5 * (gap * (1.0 - rel) - abs)
     }
 
     /// Fills `entries` (`queries_rows × k` neighbors, ascending by
@@ -477,6 +455,273 @@ impl<'a> BatchDistance<'a> {
     }
 }
 
+/// Smallest per-worker, per-centre block (`rows · dim` f32 elements) for
+/// which an FPF selection runs as a worker team; below it the one barrier
+/// exchange per centre (≈ 20 µs) costs more than the split saves and the
+/// selection runs inline on the calling thread. Measured, not
+/// configurable: the sweep is in DESIGN.md §5.
+pub const FPF_TEAM_MIN_BLOCK: usize = 1 << 19;
+
+/// `nearest` mark of a row that is itself a centre: never a furthest-point
+/// candidate, never skipped.
+const SELECTED: u32 = u32::MAX;
+
+/// One selection-long furthest-point-first scan: owns every row's distance
+/// to its nearest centre and which centre that is, and folds centres in one
+/// at a time. Under L2/L1 a row is evaluated against a new centre only when
+/// the triangle inequality cannot rule the pair out (the margin is derived
+/// at `BatchDistance::triangle_skip_bound`); survivors go through the
+/// decomposed-score filter and the exact kernel, so centres and `min_dist`
+/// are bit-identical to the naive scan at any thread count. Threads are
+/// spawned once per [`FpfScan::grow`] / [`FpfScan::push_all`] call, each
+/// owning one contiguous row block for the whole call.
+pub struct FpfScan<'a> {
+    engine: BatchDistance<'a>,
+    threads: usize,
+    centres: Vec<usize>,
+    min_dist: Vec<f32>,
+    /// Index into `centres` of the centre that set `min_dist[r]` (or
+    /// [`SELECTED`]); meaningful only where `min_dist[r]` is finite.
+    nearest: Vec<u32>,
+    pairs_skipped: u64,
+}
+
+impl<'a> FpfScan<'a> {
+    /// A scan over a row-major corpus with no centre yet (`min_dist` all
+    /// `∞`). `threads == 0` means the machine's available parallelism.
+    pub fn new(metric: Metric, data: &'a [f32], dim: usize, threads: usize) -> Self {
+        let engine = BatchDistance::new(metric, data, dim);
+        let n = engine.n();
+        assert!(n < SELECTED as usize, "corpus too large for u32 centre ids");
+        Self {
+            engine,
+            threads,
+            centres: Vec::new(),
+            min_dist: vec![f32::INFINITY; n],
+            nearest: vec![0; n],
+            pairs_skipped: 0,
+        }
+    }
+
+    /// Furthest-point-first: folds in row `first`, then `count − 1` more
+    /// centres, each the not-yet-selected row furthest from the centres so
+    /// far (lowest row on ties). Stops early once every row is a centre.
+    pub fn grow(&mut self, first: usize, count: usize) {
+        if count > 0 {
+            self.run(&[first], count - 1);
+        }
+    }
+
+    /// Folds in externally chosen centres, in order.
+    pub fn push_all(&mut self, centres: &[usize]) {
+        self.run(centres, 0);
+    }
+
+    /// Centres folded in so far, in order.
+    pub fn centres(&self) -> &[usize] {
+        &self.centres
+    }
+
+    /// `(evaluated, skipped)` counts of (row, centre) pairs: evaluated
+    /// pairs touched the row's data, skipped ones were ruled out by the
+    /// triangle inequality. They sum to `rows · centres`.
+    pub fn pair_counts(&self) -> (u64, u64) {
+        let pairs = (self.min_dist.len() * self.centres.len()) as u64;
+        (pairs - self.pairs_skipped, self.pairs_skipped)
+    }
+
+    /// Consumes the scan: the centres in order, and every row's distance to
+    /// its nearest centre.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<f32>) {
+        (self.centres, self.min_dist)
+    }
+
+    /// Folds in `seeds`, then up to `greedy` furthest-point picks, as one
+    /// team: the row range is cut into one contiguous block per worker,
+    /// block 0 runs on the calling thread, and the only synchronisation is
+    /// one [`Exchange::furthest`] per greedy pick.
+    fn run(&mut self, seeds: &[usize], greedy: usize) {
+        let n = self.engine.n();
+        assert!(seeds.iter().all(|&s| s < n), "centre index out of range");
+        if seeds.is_empty() {
+            return;
+        }
+        let threads = resolve_threads(self.threads).clamp(1, n);
+        let workers = if n.div_ceil(threads) * self.engine.dim() >= FPF_TEAM_MIN_BLOCK {
+            threads
+        } else {
+            1
+        };
+        let rows_per = n.div_ceil(workers);
+        let mut blocks: Vec<ScanBlock<'_>> = self
+            .min_dist
+            .chunks_mut(rows_per)
+            .zip(self.nearest.chunks_mut(rows_per))
+            .enumerate()
+            .map(|(w, (min_dist, nearest))| ScanBlock {
+                start: w * rows_per,
+                min_dist,
+                nearest,
+                centres: self.centres.clone(),
+                skip_at: Vec::new(),
+                pairs_skipped: 0,
+            })
+            .collect();
+        let exchange = Exchange::new(blocks.len());
+        let (engine, exchange) = (&self.engine, &exchange);
+        std::thread::scope(|scope| {
+            let mut team = blocks.iter_mut().enumerate();
+            let (_, mine) = team.next().expect("a non-empty corpus has a block");
+            let handles: Vec<_> = team
+                .map(|(w, block)| {
+                    scope.spawn(move || block.run(engine, seeds, greedy, exchange, w))
+                })
+                .collect();
+            mine.run(engine, seeds, greedy, exchange, 0);
+            for handle in handles {
+                handle.join().expect("fpf scan worker panicked");
+            }
+        });
+        self.pairs_skipped += blocks.iter().map(|b| b.pairs_skipped).sum::<u64>();
+        self.centres = blocks.swap_remove(0).centres;
+    }
+}
+
+/// One worker's share of an [`FpfScan`]: a contiguous row block, plus the
+/// worker's own copy of the centre list. Every worker extends its copy
+/// identically (the exchange hands all of them the same pick), so no
+/// centre list is shared while the team runs.
+struct ScanBlock<'s> {
+    start: usize,
+    min_dist: &'s mut [f32],
+    nearest: &'s mut [u32],
+    centres: Vec<usize>,
+    /// Scratch of [`ScanBlock::fold`]: per earlier centre, the `min_dist`
+    /// at or below which its rows cannot be closer to the centre being
+    /// folded in. Empty when nothing may be skipped.
+    skip_at: Vec<f32>,
+    pairs_skipped: u64,
+}
+
+impl ScanBlock<'_> {
+    /// Runs the whole plan on this block.
+    fn run(
+        &mut self,
+        engine: &BatchDistance<'_>,
+        seeds: &[usize],
+        greedy: usize,
+        exchange: &Exchange,
+        me: usize,
+    ) {
+        let mut furthest = None;
+        for &seed in seeds {
+            furthest = self.fold(engine, seed);
+        }
+        for round in 0..greedy {
+            let Some(next) = exchange.furthest(round, me, furthest) else {
+                break;
+            };
+            furthest = self.fold(engine, next);
+        }
+    }
+
+    /// Folds corpus row `centre` in as the next centre: lowers `min_dist`
+    /// where the new centre is closer and returns the block's furthest
+    /// not-yet-selected row `(row, min_dist)`, first-strict-max like the
+    /// naive scan.
+    fn fold(&mut self, engine: &BatchDistance<'_>, centre: usize) -> Option<(usize, f32)> {
+        let query = engine.row(centre);
+        let ctx = engine.query_ctx(query);
+        self.skip_at.clear();
+        if engine.metric().is_metric() {
+            self.skip_at.extend(
+                self.centres
+                    .iter()
+                    .map(|&p| engine.triangle_skip_bound(engine.exact(query, p))),
+            );
+        }
+        let id = self.centres.len() as u32;
+        self.centres.push(centre);
+        if let Some(own) = centre
+            .checked_sub(self.start)
+            .and_then(|j| self.nearest.get_mut(j))
+        {
+            *own = SELECTED;
+        }
+
+        let (start, skip_at) = (self.start, &self.skip_at[..]);
+        let mut skipped = 0u64;
+        let mut best = None;
+        let mut best_d = f32::NEG_INFINITY;
+        for (j, (md, near)) in self
+            .min_dist
+            .iter_mut()
+            .zip(self.nearest.iter_mut())
+            .enumerate()
+        {
+            let cur = *md;
+            if skip_at.get(*near as usize).is_some_and(|&s| cur <= s) {
+                skipped += 1;
+            } else if let Some(d) = engine.exact_if_below(query, &ctx, start + j, cur) {
+                if d < cur {
+                    *md = d;
+                    if *near != SELECTED {
+                        *near = id;
+                    }
+                }
+            }
+            if *md > best_d && *near != SELECTED {
+                best_d = *md;
+                best = Some(start + j);
+            }
+        }
+        self.pairs_skipped += skipped;
+        best.map(|row| (row, best_d))
+    }
+}
+
+/// The per-pick rendezvous of an [`FpfScan`] team: every worker posts its
+/// block's furthest row, waits at the barrier, and reduces all posts to the
+/// same global pick. Posts alternate between two banks by round parity: a
+/// worker can be at most one barrier ahead, so it never overwrites a bank
+/// another worker is still reading.
+struct Exchange {
+    barrier: Barrier,
+    banks: [Vec<Post>; 2],
+}
+
+/// One worker's furthest unselected row `(row, min_dist)`, if its block has one.
+type Post = Mutex<Option<(usize, f32)>>;
+
+impl Exchange {
+    fn new(workers: usize) -> Self {
+        let bank = || (0..workers).map(|_| Mutex::new(None)).collect();
+        Self {
+            barrier: Barrier::new(workers),
+            banks: [bank(), bank()],
+        }
+    }
+
+    /// Global furthest row: blocks are in row order and the comparison is
+    /// strict, so ties fall to the lowest row exactly as in a serial scan.
+    fn furthest(&self, round: usize, me: usize, mine: Option<(usize, f32)>) -> Option<usize> {
+        let bank = &self.banks[round % 2];
+        *bank[me].lock().expect("fpf scan worker panicked") = mine;
+        self.barrier.wait();
+        let mut best = None;
+        let mut best_d = f32::NEG_INFINITY;
+        for post in bank {
+            if let Some((row, d)) = *post.lock().expect("fpf scan worker panicked") {
+                if d > best_d {
+                    best_d = d;
+                    best = Some(row);
+                }
+            }
+        }
+        best
+    }
+}
+
 /// Inserts into a short ascending-sorted vector (k is small; linear shift
 /// beats a heap for k ≤ ~32).
 #[inline]
@@ -527,21 +772,14 @@ where
 mod tests {
     use super::*;
 
-    fn naive_update(metric: Metric, data: &[f32], dim: usize, q: usize, md: &mut [f32]) -> usize {
+    fn naive_update(metric: Metric, data: &[f32], dim: usize, q: usize, md: &mut [f32]) {
         let qrow = &data[q * dim..(q + 1) * dim];
-        let mut best = 0usize;
-        let mut best_d = f32::NEG_INFINITY;
         for (i, row) in data.chunks_exact(dim).enumerate() {
             let d = metric.distance(qrow, row);
             if d < md[i] {
                 md[i] = d;
             }
-            if md[i] > best_d {
-                best_d = md[i];
-                best = i;
-            }
         }
-        best
     }
 
     fn pseudo_data(n: usize, dim: usize, seed: u32) -> Vec<f32> {
@@ -558,20 +796,59 @@ mod tests {
     }
 
     #[test]
-    fn update_min_matches_naive_for_all_metrics() {
+    fn scan_matches_naive_for_all_metrics() {
         for metric in [Metric::L2, Metric::SquaredL2, Metric::L1, Metric::Cosine] {
             let dim = 7;
             let data = pseudo_data(97, dim, 42);
-            let engine = BatchDistance::new(metric, &data, dim);
             let mut md_naive = vec![f32::INFINITY; 97];
-            let mut md_fast = vec![f32::INFINITY; 97];
-            for (step, q) in [0usize, 13, 55, 13].iter().enumerate() {
-                let b_naive = naive_update(metric, &data, dim, *q, &mut md_naive);
-                let (b_fast, _) =
-                    engine.update_min_parallel(engine.row(*q), &mut md_fast, 1 + step % 4);
-                assert_eq!(b_naive, b_fast, "{metric:?} step {step}");
-                assert_eq!(md_naive, md_fast, "{metric:?} step {step}");
+            // Row 13 twice: a centre that is already selected changes nothing.
+            let given = [0usize, 13, 55, 13];
+            for &q in &given {
+                naive_update(metric, &data, dim, q, &mut md_naive);
             }
+            for threads in 1..=4 {
+                let mut scan = FpfScan::new(metric, &data, dim, threads);
+                scan.push_all(&given[..2]);
+                scan.push_all(&given[2..]);
+                let (evaluated, skipped) = scan.pair_counts();
+                assert_eq!(evaluated + skipped, 97 * 4);
+                assert!(metric.is_metric() || skipped == 0);
+                let (centres, min_dist) = scan.into_parts();
+                assert_eq!(centres, given, "{metric:?} {threads} threads");
+                assert_eq!(min_dist, md_naive, "{metric:?} {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn scan_grows_to_the_furthest_unselected_row() {
+        // 0, 1, 2, ..., 10 on a line: the extremes, then the midpoint.
+        let data: Vec<f32> = (0..11).map(|i| i as f32).collect();
+        let mut scan = FpfScan::new(Metric::L2, &data, 1, 1);
+        scan.grow(0, 2);
+        assert_eq!(scan.centres(), [0, 10]);
+        // A second call continues from the state the first one left.
+        scan.push_all(&[5]);
+        let (centres, min_dist) = scan.into_parts();
+        assert_eq!(centres, [0, 10, 5]);
+        assert_eq!(
+            min_dist,
+            [0.0, 1.0, 2.0, 2.0, 1.0, 0.0, 1.0, 2.0, 2.0, 1.0, 0.0]
+        );
+    }
+
+    #[test]
+    fn skip_bound_never_exceeds_half_the_gap() {
+        let data = [0.0f32; 8];
+        for metric in [Metric::L2, Metric::L1] {
+            let engine = BatchDistance::new(metric, &data, 8);
+            for gap in [0.0f32, 1e-30, 1e-6, 1.0, 3e4, 1e30] {
+                let bound = engine.triangle_skip_bound(gap);
+                assert!(bound < 0.5 * gap, "{gap}");
+            }
+            assert!(engine.triangle_skip_bound(1.0) > 0.4999);
+            assert_eq!(engine.triangle_skip_bound(f32::INFINITY), f32::NEG_INFINITY);
+            assert_eq!(engine.triangle_skip_bound(f32::NAN), f32::NEG_INFINITY);
         }
     }
 

@@ -37,8 +37,7 @@ pub use ann::{
 };
 pub use distance::Metric;
 pub use fpf::{
-    fpf, fpf_from, fpf_from_threaded, fpf_threaded, random_selection, select, select_threaded,
-    FpfResult, SelectionStrategy,
+    fpf, fpf_threaded, random_selection, select, select_threaded, FpfResult, SelectionStrategy,
 };
-pub use kernels::{resolve_threads, BatchDistance};
+pub use kernels::{resolve_threads, BatchDistance, FpfScan};
 pub use knn::{KnnError, MinKTable, Neighbor};

@@ -5,15 +5,27 @@
 //! scan (`Metric::distance`, corpus rows in index order) at any thread
 //! count. These tests keep an independent copy of the naive algorithms —
 //! the pre-kernel implementations of FPF and the min-k scan — and check
-//! the engine against them across all four metrics on random instances:
-//! identical `selected`/`rep` indices, and distances within 1e-5 (in
-//! practice they are exactly equal; the looser bound keeps the test
-//! independent of the engine's internal exact-fallback discipline).
+//! the engine against them across all four metrics: on random instances
+//! (identical `selected`/`rep` indices, distances within 1e-5 — in
+//! practice exactly equal; the looser bound keeps those properties
+//! independent of the engine's exact-fallback discipline), and bitwise on
+//! fixed instances, on inputs built to sit on FPF's triangle-inequality
+//! skip margin, for the random-mix tail, and on both sides of the
+//! inline/team cut-over.
 
 use proptest::prelude::*;
-use tasti_cluster::{fpf_from_threaded, fpf_threaded, Metric, MinKTable, Neighbor};
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use tasti_cluster::kernels::FPF_TEAM_MIN_BLOCK;
+use tasti_cluster::{
+    fpf_threaded, select_threaded, Metric, MinKTable, Neighbor, SelectionStrategy,
+};
 
-/// Naive FPF, verbatim from the pre-kernel implementation.
+const METRICS: [Metric; 4] = [Metric::L2, Metric::SquaredL2, Metric::L1, Metric::Cosine];
+
+/// Naive FPF: the pre-kernel implementation, with selected rows excluded
+/// from the furthest-point pick so the selection is always distinct.
 fn naive_fpf(
     data: &[f32],
     dim: usize,
@@ -25,9 +37,11 @@ fn naive_fpf(
     let count = count.min(n);
     let mut selected = Vec::with_capacity(count);
     let mut min_dist = vec![f32::INFINITY; n];
+    let mut taken = vec![false; n];
     let mut next = first;
     for _ in 0..count {
         selected.push(next);
+        taken[next] = true;
         let rep_row = &data[next * dim..(next + 1) * dim];
         let mut best = 0usize;
         let mut best_d = f32::NEG_INFINITY;
@@ -36,7 +50,7 @@ fn naive_fpf(
             if d < min_dist[i] {
                 min_dist[i] = d;
             }
-            if min_dist[i] > best_d {
+            if min_dist[i] > best_d && !taken[i] {
                 best_d = min_dist[i];
                 best = i;
             }
@@ -127,49 +141,6 @@ proptest! {
     }
 
     #[test]
-    fn fpf_extension_matches_naive_reference(
-        (data, dim) in arb_points(),
-        metric in arb_metric(),
-        threads in prop_oneof![Just(1usize), Just(3), Just(0)],
-    ) {
-        let n = data.len() / dim;
-        let seed_count = (n / 3).max(1);
-        let additional = (n / 3).max(1);
-        // Seed with a naive-FPF prefix, then extend both ways.
-        let (seed_sel, _) = naive_fpf(&data, dim, seed_count, metric, 0);
-        let mut naive_md = vec![f32::INFINITY; n];
-        let mut naive_sel = seed_sel.clone();
-        for &s in &seed_sel {
-            let rep_row = &data[s * dim..(s + 1) * dim];
-            for (i, row) in data.chunks_exact(dim).enumerate() {
-                let d = metric.distance(rep_row, row);
-                if d < naive_md[i] {
-                    naive_md[i] = d;
-                }
-            }
-        }
-        for _ in 0..additional.min(n - naive_sel.len()) {
-            let (best, _) = naive_md.iter().enumerate().fold(
-                (0usize, f32::NEG_INFINITY),
-                |acc, (i, &d)| if d > acc.1 { (i, d) } else { acc },
-            );
-            naive_sel.push(best);
-            let rep_row = &data[best * dim..(best + 1) * dim];
-            for (i, row) in data.chunks_exact(dim).enumerate() {
-                let d = metric.distance(rep_row, row);
-                if d < naive_md[i] {
-                    naive_md[i] = d;
-                }
-            }
-        }
-        let fast = fpf_from_threaded(&data, dim, &seed_sel, additional, metric, threads);
-        prop_assert_eq!(&fast.selected, &naive_sel, "extension selections diverged");
-        for (a, b) in fast.min_dist.iter().zip(&naive_md) {
-            prop_assert!((a - b).abs() <= 1e-5);
-        }
-    }
-
-    #[test]
     fn mink_table_matches_naive_reference(
         (records, dim) in arb_points(),
         reps_seed in 0u64..1000,
@@ -218,7 +189,7 @@ fn engine_is_bitwise_equal_to_naive_on_fixed_instances() {
                 ((state >> 33) as i32 % 4000) as f32 / 200.0
             })
             .collect();
-        for metric in [Metric::L2, Metric::SquaredL2, Metric::L1, Metric::Cosine] {
+        for metric in METRICS {
             let (naive_sel, naive_md) = naive_fpf(&data, dim, 30, metric, 0);
             for threads in [1usize, 4, 0] {
                 let fast = fpf_threaded(&data, dim, 30, metric, 0, threads);
@@ -240,6 +211,170 @@ fn engine_is_bitwise_equal_to_naive_on_fixed_instances() {
                     &naive[i * 4..(i + 1) * 4],
                     "{metric:?} dim {dim} record {i}"
                 );
+            }
+        }
+    }
+}
+
+/// `min_dist` from scratch for a given selection: every (row, selected)
+/// pair through `Metric::distance`, no state carried between centres.
+fn naive_min_dist(data: &[f32], dim: usize, metric: Metric, selected: &[usize]) -> Vec<f32> {
+    data.chunks_exact(dim)
+        .map(|row| {
+            selected.iter().fold(f32::INFINITY, |md, &s| {
+                let d = metric.distance(&data[s * dim..(s + 1) * dim], row);
+                if d < md {
+                    d
+                } else {
+                    md
+                }
+            })
+        })
+        .collect()
+}
+
+fn assert_bitwise(got: &[f32], naive: &[f32], case: &str) {
+    assert_eq!(got.len(), naive.len(), "{case}");
+    for (i, (g, w)) in got.iter().zip(naive).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{case}: min_dist[{i}] {g:e}, naive {w:e}"
+        );
+    }
+}
+
+/// Uniform values in `[0, 1)` from a fixed LCG stream.
+struct Lcg(u64);
+
+impl Lcg {
+    fn unit(&mut self) -> f32 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 40) as f32 / (1u64 << 24) as f32
+    }
+}
+
+/// `n` rows of `dim` columns, element `(i, j)` from `f`.
+fn rows(n: usize, dim: usize, f: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    (0..n * dim).map(|e| f(e / dim, e % dim)).collect()
+}
+
+/// Inputs built to sit on the triangle-inequality skip margin: a wrong
+/// margin skips a row the naive scan would have improved (or picks a
+/// different furthest row) on at least one of them.
+fn margin_stress_inputs(dim: usize) -> Vec<(&'static str, Vec<f32>)> {
+    let mut rng = Lcg(0xA5A5_0000 + dim as u64);
+    let mut anchors = |count: usize, scale: f32| -> Vec<f32> {
+        (0..count * dim)
+            .map(|_| scale * (2.0 * rng.unit() - 1.0))
+            .collect()
+    };
+
+    // Eight clusters whose members are 1e-6 apart: `min_dist` values that
+    // differ in the last few ulps next to centre gaps of ~2·min_dist.
+    let a = anchors(8, 3.0);
+    let tight = rows(240, dim, |i, j| {
+        let step = (i / 8) as f32 * 1e-6;
+        a[(i % 8) * dim + j] + if j == i % dim { step } else { -step }
+    });
+
+    // Forty distinct rows, each five times: rows at distance exactly 0.
+    let a = anchors(40, 5.0);
+    let duplicates = rows(200, dim, |i, j| a[(i % 40) * dim + j]);
+
+    // Points t·v on a line (exact in f32), and the same line moved off the
+    // origin (rounded): d(a, c) = d(a, b) + d(b, c), so every skip test is
+    // at equality before the margin.
+    let v = [1.0f32, -2.0, 0.5, 4.0];
+    let origin = anchors(1, 7.0);
+    let collinear = rows(200, dim, |t, j| t as f32 * v[j % 4]);
+    let shifted = rows(200, dim, |t, j| origin[j] + t as f32 * v[j % 4]);
+
+    // Norms around 1e4, where one ulp is ~1e-3, in clusters 1e-2 apart.
+    let a = anchors(10, 1e4 / (dim as f32).sqrt());
+    let large = rows(200, dim, |i, j| {
+        a[(i % 10) * dim + j] + if j == 0 { (i / 10) as f32 * 1e-2 } else { 0.0 }
+    });
+
+    vec![
+        ("tight clusters", tight),
+        ("exact duplicates", duplicates),
+        ("collinear", collinear),
+        ("collinear, off the origin", shifted),
+        ("norms up to 1e4", large),
+    ]
+}
+
+#[test]
+fn fpf_is_bitwise_naive_on_the_skip_margin() {
+    for dim in [1usize, 3, 16] {
+        for (label, data) in margin_stress_inputs(dim) {
+            for metric in METRICS {
+                let (naive_sel, naive_md) = naive_fpf(&data, dim, 48, metric, 0);
+                for threads in 1..=4 {
+                    let fast = fpf_threaded(&data, dim, 48, metric, 0, threads);
+                    let case = format!("{label}, dim {dim}, {metric:?}, {threads} threads");
+                    assert_eq!(fast.selected, naive_sel, "{case}");
+                    assert_bitwise(&fast.min_dist, &naive_md, &case);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn random_mix_equals_fpf_prefix_plus_picks_with_min_dist_from_scratch() {
+    let dim = 5;
+    let (_, data) = margin_stress_inputs(dim).swap_remove(0);
+    let n = data.len() / dim;
+    let strategy = SelectionStrategy::FpfWithRandomMix {
+        random_fraction: 0.25,
+    };
+    for metric in METRICS {
+        for threads in [1usize, 2, 0] {
+            let mut rng = ChaCha8Rng::seed_from_u64(77);
+            let fast = select_threaded(&data, dim, 60, metric, strategy, 0, &mut rng, threads);
+
+            // 45 FPF picks, then 15 from the shuffled rest of the corpus.
+            let (mut expected, _) = naive_fpf(&data, dim, 45, metric, 0);
+            let mut pool: Vec<usize> = (0..n).filter(|i| !expected.contains(i)).collect();
+            pool.shuffle(&mut ChaCha8Rng::seed_from_u64(77));
+            expected.extend(&pool[..15]);
+
+            let case = format!("{metric:?}, {threads} threads");
+            assert_eq!(fast.selected, expected, "{case}");
+            let from_scratch = naive_min_dist(&data, dim, metric, &expected);
+            assert_bitwise(&fast.min_dist, &from_scratch, &case);
+            let radius = from_scratch.iter().copied().fold(0.0f32, f32::max);
+            assert_eq!(fast.cover_radius.to_bits(), radius.to_bits());
+        }
+    }
+}
+
+#[test]
+fn inline_and_team_paths_agree_around_the_cut_over() {
+    let dim = 64;
+    // Rows one worker must own for a selection to run as a team.
+    let block = FPF_TEAM_MIN_BLOCK / dim;
+    // One row short of a team of two (inline at any thread count), exactly
+    // a team of two, and a team at every thread count tried.
+    for n in [2 * block - 2, 2 * block, 4 * block] {
+        let mut rng = Lcg(n as u64);
+        let anchors: Vec<f32> = (0..37 * dim).map(|_| 4.0 * rng.unit() - 2.0).collect();
+        // Clustered, with exact duplicates and 1e-6 gaps inside a cluster.
+        let data = rows(n, dim, |i, j| {
+            anchors[(i % 37) * dim + j] + ((i / 37) % 5) as f32 * 1e-6
+        });
+        for metric in [Metric::L2, Metric::Cosine] {
+            let (naive_sel, naive_md) = naive_fpf(&data, dim, 6, metric, 0);
+            for threads in [2usize, 4] {
+                let fast = fpf_threaded(&data, dim, 6, metric, 0, threads);
+                let case = format!("{n} rows, {metric:?}, {threads} threads");
+                assert_eq!(fast.selected, naive_sel, "{case}");
+                assert_bitwise(&fast.min_dist, &naive_md, &case);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests (proptest) of the core invariants.
 
 use proptest::prelude::*;
-use tasti::cluster::{fpf, fpf_from, Metric, MinKTable};
+use tasti::cluster::{fpf, Metric, MinKTable};
 use tasti::index::propagate::{limit_ranking, propagate_numeric};
 use tasti::query::{
     ebs_aggregate, supg_recall_target, AggregationConfig, StoppingRule, SupgConfig,
@@ -32,18 +32,6 @@ proptest! {
         }
         let full = fpf(&data, 3, n, Metric::L2, first);
         prop_assert_eq!(full.cover_radius, 0.0);
-    }
-
-    /// Extending a selection (cracking) never increases the cover radius,
-    /// and `fpf_from` with an empty seed matches a fresh selection size.
-    #[test]
-    fn fpf_extension_tightens_cover(data in arb_points(30, 2)) {
-        let n = data.len() / 2;
-        prop_assume!(n >= 6);
-        let base = fpf(&data, 2, 3, Metric::L2, 0);
-        let ext = fpf_from(&data, 2, &base.selected, 2, Metric::L2);
-        prop_assert!(ext.cover_radius <= base.cover_radius + 1e-6);
-        prop_assert_eq!(ext.selected.len(), 5.min(n));
     }
 
     /// Propagated numeric scores are convex combinations of representative
