@@ -105,26 +105,34 @@ cleanup_smoke() {
 }
 trap cleanup_smoke EXIT
 CLI=target/release/tasti_cli
+# start_server <log file> <who, for the failure message> <serve flags...>
+# Launches `serve` in the background on an ephemeral port and waits for its
+# log to show the bound address. Sets SERVE_PID (cleanup_smoke kills
+# whatever is still running) and ADDR.
+start_server() {
+  local log="$SMOKE/$1" who="$2"
+  shift 2
+  "$CLI" serve "$@" --addr 127.0.0.1:0 --workers 4 > "$log" 2>&1 &
+  SERVE_PID=$!
+  ADDR=""
+  for _ in $(seq 1 100); do
+    ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$log" | head -1 || true)
+    [ -n "$ADDR" ] && break
+    sleep 0.2
+  done
+  if [ -z "$ADDR" ]; then
+    echo "$who never printed its address"; cat "$log"; exit 1
+  fi
+}
 "$CLI" build --dataset night-street --n 2000 --seed 7 \
   --train 100 --reps 200 --out "$SMOKE/idx.json"
 # A second, cheaper index over the same dataset (TASTI-PT: no training)
 # exercises the multi-index registry as a named co-tenant.
 "$CLI" build --dataset night-street --n 2000 --seed 7 \
   --reps 150 --pretrained-only --out "$SMOKE/idx2.json"
-"$CLI" serve --index "$SMOKE/idx.json" --index "alt=$SMOKE/idx2.json" \
-  --dataset night-street --n 2000 --seed 7 \
-  --addr 127.0.0.1:0 --workers 4 --snapshot "$SMOKE/snap.json" \
-  > "$SMOKE/serve.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$SMOKE/serve.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-  echo "serve smoke: server never printed its address"; cat "$SMOKE/serve.log"; exit 1
-fi
+start_server serve.log "serve smoke: server" \
+  --index "$SMOKE/idx.json" --index "alt=$SMOKE/idx2.json" \
+  --dataset night-street --n 2000 --seed 7 --snapshot "$SMOKE/snap.json"
 # One query of each type against the default route, then the admin
 # surface. probe exits non-zero on any error reply, so set -e turns a
 # failed op into a failed gate.
@@ -176,19 +184,9 @@ echo "==> ingest smoke: stream rows, kill -9, restart replays every acknowledged
 # truth for them once applied). The first server is SIGKILLed — no drain,
 # no snapshot — so the segment log is the only copy of the ingested rows;
 # the durability promise is that the restart replays all 40.
-"$CLI" serve --index "$SMOKE/idx.json" --dataset night-street --n 2100 --seed 7 \
-  --addr 127.0.0.1:0 --workers 4 --ingest-dir "$SMOKE/ingest-log" \
-  > "$SMOKE/ingest1.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$SMOKE/ingest1.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-  echo "ingest smoke: server never printed its address"; cat "$SMOKE/ingest1.log"; exit 1
-fi
+start_server ingest1.log "ingest smoke: server" \
+  --index "$SMOKE/idx.json" --dataset night-street --n 2100 --seed 7 \
+  --ingest-dir "$SMOKE/ingest-log"
 "$CLI" probe ingest --addr "$ADDR" --dataset night-street --n 2100 --seed 7 \
   --offset 2000 --count 40
 "$CLI" probe stats --addr "$ADDR" | grep -q '"records":2040' \
@@ -196,19 +194,9 @@ fi
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
-"$CLI" serve --index "$SMOKE/idx.json" --dataset night-street --n 2100 --seed 7 \
-  --addr 127.0.0.1:0 --workers 4 --ingest-dir "$SMOKE/ingest-log" \
-  > "$SMOKE/ingest2.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$SMOKE/ingest2.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-  echo "ingest smoke: restarted server never printed its address"; cat "$SMOKE/ingest2.log"; exit 1
-fi
+start_server ingest2.log "ingest smoke: restarted server" \
+  --index "$SMOKE/idx.json" --dataset night-street --n 2100 --seed 7 \
+  --ingest-dir "$SMOKE/ingest-log"
 grep -q 'ingest log: replayed' "$SMOKE/ingest2.log" \
   || { echo "ingest smoke: restart did not replay the log"; cat "$SMOKE/ingest2.log"; exit 1; }
 "$CLI" probe stats --addr "$ADDR" | grep -q '"records":2040' \
@@ -228,20 +216,9 @@ cargo test -q -p tasti-serve --test storage_chaos
 # 2nd batch must come back as a typed storage rejection (never acked) and
 # ingest degrades to read-only — while queries and the admin surface keep
 # answering and the drain still exits 0.
-"$CLI" serve --index "$SMOKE/idx.json" --dataset night-street --n 2100 --seed 7 \
-  --addr 127.0.0.1:0 --workers 4 --ingest-dir "$SMOKE/faulted-log" \
-  --storage-fault-script 'sync:2=eio' \
-  > "$SMOKE/storage.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$SMOKE/storage.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-  echo "storage smoke: server never printed its address"; cat "$SMOKE/storage.log"; exit 1
-fi
+start_server storage.log "storage smoke: server" \
+  --index "$SMOKE/idx.json" --dataset night-street --n 2100 --seed 7 \
+  --ingest-dir "$SMOKE/faulted-log" --storage-fault-script 'sync:2=eio'
 # Batch 1 rides fsync #1: acknowledged.
 "$CLI" probe ingest --addr "$ADDR" --dataset night-street --n 2100 --seed 7 \
   --offset 2000 --count 10
@@ -270,20 +247,9 @@ SERVE_PID=""
 # Corrupt-snapshot-then-restart: snapshot saves rotate a last-good copy;
 # a corrupted primary must fall back to it at startup with a visible
 # notice, and the ingest log replays anything above its watermark.
-"$CLI" serve --index "$SMOKE/idx.json" --dataset night-street --n 2100 --seed 7 \
-  --addr 127.0.0.1:0 --workers 4 --ingest-dir "$SMOKE/ingest-log" \
-  --snapshot "$SMOKE/snap-v3.json" \
-  > "$SMOKE/snapwriter.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$SMOKE/snapwriter.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-  echo "storage smoke: snapshot writer never printed its address"; cat "$SMOKE/snapwriter.log"; exit 1
-fi
+start_server snapwriter.log "storage smoke: snapshot writer" \
+  --index "$SMOKE/idx.json" --dataset night-street --n 2100 --seed 7 \
+  --ingest-dir "$SMOKE/ingest-log" --snapshot "$SMOKE/snap-v3.json"
 "$CLI" probe snapshot --addr "$ADDR"
 "$CLI" probe ingest --addr "$ADDR" --dataset night-street --n 2100 --seed 7 \
   --offset 2040 --count 10
@@ -298,19 +264,9 @@ grep -q '"version":3' "$SMOKE/snap-v3.json" \
   || { echo "storage smoke: snapshot save must rotate a last-good copy"; exit 1; }
 # Smash four bytes mid-file: the checksum must catch it at load.
 dd if=/dev/zero of="$SMOKE/snap-v3.json" bs=1 seek=64 count=4 conv=notrunc 2>/dev/null
-"$CLI" serve --index "$SMOKE/snap-v3.json" --dataset night-street --n 2100 --seed 7 \
-  --addr 127.0.0.1:0 --workers 4 --ingest-dir "$SMOKE/ingest-log" \
-  > "$SMOKE/recover.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$SMOKE/recover.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-  echo "storage smoke: recovery server never printed its address"; cat "$SMOKE/recover.log"; exit 1
-fi
+start_server recover.log "storage smoke: recovery server" \
+  --index "$SMOKE/snap-v3.json" --dataset night-street --n 2100 --seed 7 \
+  --ingest-dir "$SMOKE/ingest-log"
 grep -q 'recovered from last-good' "$SMOKE/recover.log" \
   || { echo "storage smoke: corrupt snapshot did not fall back"; cat "$SMOKE/recover.log"; exit 1; }
 # The fallback is lossless: every acknowledged record is still served.
@@ -329,20 +285,9 @@ cargo test -q -p tasti-serve --test chaos
 # A serve smoke with live fault injection behind the resilience stack:
 # queries may answer degraded (probe still exits 0 on ok replies), health
 # must answer, and the drain must still exit 0.
-"$CLI" serve --index "$SMOKE/idx.json" --dataset night-street --n 2000 --seed 7 \
-  --addr 127.0.0.1:0 --workers 4 \
-  --fault-transient 0.3 --fault-fatal 0.1 --fault-seed 99 \
-  > "$SMOKE/chaos.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(grep -oE '127\.0\.0\.1:[0-9]+' "$SMOKE/chaos.log" | head -1 || true)
-  [ -n "$ADDR" ] && break
-  sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-  echo "chaos smoke: server never printed its address"; cat "$SMOKE/chaos.log"; exit 1
-fi
+start_server chaos.log "chaos smoke: server" \
+  --index "$SMOKE/idx.json" --dataset night-street --n 2000 --seed 7 \
+  --fault-transient 0.3 --fault-fatal 0.1 --fault-seed 99
 # Query ops may answer degraded (ok) or, if the breaker is open, a typed
 # labeler_unavailable error — both are acceptable under injected faults;
 # what must never happen is a hang or an untyped failure.

@@ -1,5 +1,5 @@
 //! Runs the complete evaluation suite (every table and figure of §6) and
-//! writes both `results/all_experiments.json` and a combined summary.
+//! writes `results/all_experiments.json`.
 fn main() {
     let start = std::time::Instant::now();
     let records = tasti_bench::experiments::run_all();
@@ -8,13 +8,5 @@ fn main() {
         "\n{} records from the full suite written to {path}",
         records.len()
     );
-
-    // Cost ledger: meter-authoritative invocation totals per setting and
-    // method, collated from the records just produced (EXPERIMENTS.md's
-    // "Cost ledger" section is this table).
-    let rows = tasti_bench::ledger::collate(&tasti_bench::ledger::cells_from_records(&records));
-    let table = tasti_bench::render_markdown(&rows);
-    std::fs::write("results/cost_ledger.md", &table).expect("write cost ledger");
-    println!("\nCost ledger (also in results/cost_ledger.md):\n\n{table}");
     println!("total wall-clock: {:.1}s", start.elapsed().as_secs_f64());
 }

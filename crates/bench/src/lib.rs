@@ -14,8 +14,6 @@
 //!   baselines for a setting and exposes uniform "give me proxy scores for
 //!   method M and query Q" plumbing.
 //! * [`report`] — result records and table/JSON emission.
-//! * [`ledger`] — meter-authoritative invocation totals collated from
-//!   `results/*.json` into the EXPERIMENTS.md cost ledger.
 //!
 //! Scale note: the paper's video datasets have ~10⁶ frames; ours default to
 //! ~12k (video) / 6k (text, speech) so the full suite runs on a laptop in
@@ -26,13 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod ledger;
 pub mod queries;
 pub mod report;
 pub mod runner;
 pub mod settings;
 
-pub use ledger::{collate_dir, render_markdown, LedgerRow};
 pub use report::{write_json, ExperimentRecord};
 pub use runner::{BuiltSetting, Method, QueryKind};
 pub use settings::{all_settings, setting_by_name, Setting};

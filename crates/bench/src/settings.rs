@@ -63,7 +63,6 @@ fn video_config(seed: u64) -> TastiConfig {
             steps: 500,
             batch_size: 32,
             margin: 0.3,
-            ..Default::default()
         },
         seed,
         ..TastiConfig::default()
@@ -82,7 +81,6 @@ fn small_config(seed: u64) -> TastiConfig {
             steps: 500,
             batch_size: 32,
             margin: 0.3,
-            ..Default::default()
         },
         seed,
         ..TastiConfig::default()

@@ -397,7 +397,6 @@ mod tests {
                 steps: 150,
                 batch_size: 16,
                 margin: 0.3,
-                ..Default::default()
             },
             ..TastiConfig::default()
         }

@@ -78,7 +78,6 @@ mod tests {
                 steps: 120,
                 batch_size: 16,
                 margin: 0.3,
-                ..Default::default()
             },
             ..TastiConfig::default()
         };

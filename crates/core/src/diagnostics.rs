@@ -143,7 +143,6 @@ mod tests {
                 steps: 150,
                 batch_size: 24,
                 margin: 0.3,
-                ..Default::default()
             },
             seed,
             ..TastiConfig::default()

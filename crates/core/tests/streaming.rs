@@ -43,7 +43,6 @@ fn setup(
             steps: 150,
             batch_size: 24,
             margin: 0.3,
-            ..Default::default()
         },
         seed,
         ..TastiConfig::default()

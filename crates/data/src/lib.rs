@@ -40,7 +40,6 @@ pub mod dataset;
 pub mod labelers;
 pub mod pretrained;
 pub mod speech;
-pub mod stats;
 pub mod text;
 pub mod video;
 
@@ -48,4 +47,3 @@ pub use crowd::CrowdLabeler;
 pub use dataset::Dataset;
 pub use labelers::{NoisyDetector, OracleLabeler};
 pub use pretrained::{degraded_view, PretrainedEmbedder};
-pub use stats::{summarize, DatasetSummary};

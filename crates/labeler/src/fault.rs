@@ -14,8 +14,8 @@
 //!   out-of-range values surface as `Corrupt` instead of flowing into
 //!   scoring functions.
 //! * [`FaultInjectingLabeler`] — deterministic chaos: seeded per-kind fault
-//!   probabilities, scripted fault schedules, and optional latency spikes,
-//!   so failure-path tests are reproducible.
+//!   probabilities and scripted fault schedules, so failure-path tests are
+//!   reproducible.
 //! * [`OracleHealth`] — the health snapshot a resilient labeler (see
 //!   [`crate::resilient`]) reports: circuit-breaker state, per-kind fault
 //!   counters, retry totals, and the backoff-delay histogram.
@@ -339,10 +339,10 @@ impl SplitMix64 {
     }
 }
 
-/// Per-kind fault probabilities and latency-spike settings for
-/// [`FaultInjectingLabeler`]. All rates are per *inner call* (a whole batch
-/// is one call) and are evaluated in [`FaultKind::ALL`] order against a
-/// single uniform draw, so their sum must stay ≤ 1.
+/// Per-kind fault probabilities for [`FaultInjectingLabeler`]. All rates
+/// are per *inner call* (a whole batch is one call) and are evaluated in
+/// [`FaultKind::ALL`] order against a single uniform draw, so their sum
+/// must stay ≤ 1.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// RNG seed; the injected fault sequence is a pure function of the seed
@@ -356,10 +356,6 @@ pub struct FaultPlan {
     pub corrupt_rate: f64,
     /// Probability of a fatal fault.
     pub fatal_rate: f64,
-    /// Probability of a latency spike on a successful call.
-    pub latency_spike_rate: f64,
-    /// Duration of an injected latency spike.
-    pub latency_spike_micros: u64,
 }
 
 impl Default for FaultPlan {
@@ -370,8 +366,6 @@ impl Default for FaultPlan {
             timeout_rate: 0.0,
             corrupt_rate: 0.0,
             fatal_rate: 0.0,
-            latency_spike_rate: 0.0,
-            latency_spike_micros: 0,
         }
     }
 }
@@ -394,7 +388,6 @@ struct InjectorState {
     script: VecDeque<Option<FaultKind>>,
     inner_calls: u64,
     injected: [u64; 4],
-    spikes: u64,
 }
 
 /// Deterministic chaos middleware: wraps an infallible labeler and injects
@@ -428,7 +421,6 @@ impl<L: BatchTargetLabeler> FaultInjectingLabeler<L> {
                 script: VecDeque::new(),
                 inner_calls: 0,
                 injected: [0; 4],
-                spikes: 0,
             }),
             plan,
             name,
@@ -471,36 +463,24 @@ impl<L: BatchTargetLabeler> FaultInjectingLabeler<L> {
         self.lock().injected.iter().sum()
     }
 
-    /// Latency spikes injected so far.
-    pub fn spikes(&self) -> u64 {
-        self.lock().spikes
-    }
-
     /// Access to the wrapped labeler.
     pub fn inner(&self) -> &L {
         &self.inner
     }
 
-    /// Decides the outcome of one inner call: a fault to inject, or a spike
-    /// duration to sleep before passing through.
-    fn decide(&self) -> (Option<LabelerFault>, u64) {
+    /// Decides the outcome of one inner call: a fault to inject, or `None`
+    /// to pass it through.
+    fn decide(&self) -> Option<LabelerFault> {
         let mut st = self.lock();
         st.inner_calls += 1;
         let call = st.inner_calls;
         if let Some(entry) = st.script.pop_front() {
-            return match entry {
-                Some(kind) => {
-                    st.injected[kind.index()] += 1;
-                    (
-                        Some(kind.fault(format!(
-                            "scripted {} fault at inner call {call}",
-                            kind.name()
-                        ))),
-                        0,
-                    )
-                }
-                None => (None, 0),
-            };
+            let kind = entry?;
+            st.injected[kind.index()] += 1;
+            return Some(kind.fault(format!(
+                "scripted {} fault at inner call {call}",
+                kind.name()
+            )));
         }
         let x = st.rng.next_f64();
         let mut edge = 0.0;
@@ -513,46 +493,27 @@ impl<L: BatchTargetLabeler> FaultInjectingLabeler<L> {
             edge += rate;
             if rate > 0.0 && x < edge {
                 st.injected[kind.index()] += 1;
-                return (
-                    Some(kind.fault(format!(
-                        "injected {} fault at inner call {call}",
-                        kind.name()
-                    ))),
-                    0,
-                );
+                return Some(kind.fault(format!(
+                    "injected {} fault at inner call {call}",
+                    kind.name()
+                )));
             }
         }
-        let spike = if self.plan.latency_spike_rate > 0.0
-            && st.rng.next_f64() < self.plan.latency_spike_rate
-        {
-            st.spikes += 1;
-            self.plan.latency_spike_micros
-        } else {
-            0
-        };
-        (None, spike)
+        None
     }
 }
 
 impl<L: BatchTargetLabeler> FallibleTargetLabeler for FaultInjectingLabeler<L> {
     fn try_label(&self, record: RecordId) -> Result<LabelerOutput, LabelerFault> {
-        let (fault, spike) = self.decide();
-        if let Some(fault) = fault {
+        if let Some(fault) = self.decide() {
             return Err(fault);
-        }
-        if spike > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(spike));
         }
         FallibleTargetLabeler::try_label(&self.inner, record)
     }
 
     fn try_label_batch(&self, records: &[RecordId]) -> Result<Vec<LabelerOutput>, LabelerFault> {
-        let (fault, spike) = self.decide();
-        if let Some(fault) = fault {
+        if let Some(fault) = self.decide() {
             return Err(fault);
-        }
-        if spike > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(spike));
         }
         FallibleTargetLabeler::try_label_batch(&self.inner, records)
     }
@@ -710,7 +671,6 @@ mod tests {
             assert_eq!(inj.try_label(r).unwrap(), Fake.label(r));
         }
         assert_eq!(inj.injected_faults(), 0);
-        assert_eq!(inj.spikes(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   optional L2-normalized embedding output, and He/Xavier initialization.
 //! * [`loss`] — the margin triplet loss from §5.1 of the paper, plus MSE and
 //!   binary cross-entropy for the proxy-model baselines.
-//! * [`optim`] — SGD, SGD+momentum, and Adam.
+//! * [`optim`] — Adam.
 //! * [`train`] — minibatch training loops: triplet fine-tuning (embedding DNN)
 //!   and supervised regression/classification (per-query proxies).
 //! * [`metrics`] — the evaluation metrics reported in the paper (ρ², F1, AUC).
@@ -35,6 +35,6 @@ pub mod tensor;
 pub mod train;
 
 pub use mlp::{Activation, Mlp, MlpConfig};
-pub use optim::{Adam, LrSchedule, Optimizer, Sgd};
+pub use optim::Adam;
 pub use tensor::Matrix;
-pub use train::{FitConfig, NegativeMining, TrainReport, TripletConfig};
+pub use train::{FitConfig, TrainReport, TripletConfig};

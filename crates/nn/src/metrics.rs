@@ -176,84 +176,6 @@ pub fn auc_roc(scores: &[f64], truth: &[bool]) -> f64 {
     (pos_rank_sum - pos as f64 * (pos as f64 + 1.0) / 2.0) / (pos as f64 * neg as f64)
 }
 
-/// Fractional ranks (1-based; ties get the average rank) of a series.
-fn ranks(values: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|&a, &b| {
-        values[a]
-            .partial_cmp(&values[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut out = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && values[order[j + 1]] == values[order[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &order[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// Spearman rank correlation: Pearson correlation of the fractional ranks.
-///
-/// The natural quality metric for *ordering*-driven consumers of proxy
-/// scores (limit queries, SUPG thresholds), where monotone-but-nonlinear
-/// score relationships are fine and Pearson under-reports.
-pub fn spearman_rho(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "series length mismatch");
-    pearson_r(&ranks(a), &ranks(b))
-}
-
-/// Average precision: the area under the precision-recall curve obtained by
-/// sweeping the score threshold (ties broken by index order). Summarizes
-/// retrieval quality for imbalanced predicates better than AUC.
-pub fn average_precision(scores: &[f64], truth: &[bool]) -> f64 {
-    assert_eq!(scores.len(), truth.len());
-    let total_pos = truth.iter().filter(|&&t| t).count();
-    if total_pos == 0 {
-        return 0.0;
-    }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut hits = 0usize;
-    let mut sum = 0.0;
-    for (rank0, &i) in order.iter().enumerate() {
-        if truth[i] {
-            hits += 1;
-            sum += hits as f64 / (rank0 + 1) as f64;
-        }
-    }
-    sum / total_pos as f64
-}
-
-/// Recall at the top `k` ranked records: fraction of all positives found in
-/// the `k` highest-scoring records (the limit-query quality signal).
-pub fn recall_at_k(scores: &[f64], truth: &[bool], k: usize) -> f64 {
-    assert_eq!(scores.len(), truth.len());
-    let total_pos = truth.iter().filter(|&&t| t).count();
-    if total_pos == 0 {
-        return 1.0;
-    }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let hit = order.iter().take(k).filter(|&&i| truth[i]).count();
-    hit as f64 / total_pos as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,46 +252,6 @@ mod tests {
     #[test]
     fn auc_single_class_is_half() {
         assert_eq!(auc_roc(&[0.1, 0.9], &[true, true]), 0.5);
-    }
-
-    #[test]
-    fn recall_at_k_finds_top_ranked_positives() {
-        let scores = [0.9, 0.1, 0.8, 0.2];
-        let truth = [true, true, false, false];
-        assert!((recall_at_k(&scores, &truth, 1) - 0.5).abs() < 1e-12);
-        assert!((recall_at_k(&scores, &truth, 4) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_detects_monotone_nonlinear_relations() {
-        let a = [1.0f64, 2.0, 3.0, 4.0, 5.0];
-        let b: Vec<f64> = a.iter().map(|x: &f64| x.exp()).collect(); // monotone, nonlinear
-        assert!((spearman_rho(&a, &b) - 1.0).abs() < 1e-12);
-        // Pearson under-reports the same relationship.
-        assert!(pearson_r(&a, &b) < 0.95);
-        // Reversed order → −1.
-        let rev: Vec<f64> = a.iter().rev().copied().collect();
-        assert!((spearman_rho(&a, &rev) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let a = [1.0, 1.0, 2.0, 3.0];
-        let b = [1.0, 1.0, 2.0, 3.0];
-        assert!((spearman_rho(&a, &b) - 1.0).abs() < 1e-12);
-        // Constant series → 0 (no ordering information).
-        assert_eq!(spearman_rho(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn average_precision_perfect_and_inverted() {
-        let truth = [true, true, false, false];
-        assert!((average_precision(&[0.9, 0.8, 0.2, 0.1], &truth) - 1.0).abs() < 1e-12);
-        // Inverted ranking: positives at ranks 3 and 4 → (1/3 + 2/4)/2.
-        let ap = average_precision(&[0.1, 0.2, 0.8, 0.9], &truth);
-        assert!((ap - (1.0 / 3.0 + 0.5) / 2.0).abs() < 1e-12);
-        // No positives → 0 by convention.
-        assert_eq!(average_precision(&[0.5, 0.5], &[false, false]), 0.0);
     }
 
     #[test]

@@ -327,7 +327,7 @@ impl Mlp {
     }
 
     /// Visits `(param, grad)` slice pairs in a fixed order (weights then bias,
-    /// layer by layer). Optimizers rely on this ordering being stable.
+    /// layer by layer). `Adam` relies on this ordering being stable.
     pub fn visit_params(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
         for l in &mut self.layers {
             f(l.w.as_mut_slice(), l.gw.as_slice());

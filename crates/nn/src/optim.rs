@@ -1,132 +1,10 @@
-//! First-order optimizers: SGD (optionally with momentum) and Adam.
+//! The optimizer: Adam.
 //!
-//! Optimizers visit the network's `(param, grad)` pairs through
+//! It visits the network's `(param, grad)` pairs through
 //! [`crate::mlp::Mlp::visit_params`], which guarantees a stable ordering so
-//! stateful optimizers can keep flat moment buffers aligned by position.
+//! the flat moment buffers stay aligned by position.
 
 use crate::mlp::Mlp;
-
-/// A first-order optimizer over an [`Mlp`]'s parameters.
-pub trait Optimizer {
-    /// Applies one update step using the gradients currently accumulated in
-    /// the network, then leaves the gradients untouched (callers zero them).
-    fn step(&mut self, net: &mut Mlp);
-
-    /// Replaces the learning rate (used by [`LrSchedule`]s).
-    fn set_learning_rate(&mut self, lr: f32);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-}
-
-/// A learning-rate schedule mapping a step index to a multiplier of the
-/// base learning rate. Warmup-free variants of the standard schedules.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LrSchedule {
-    /// Constant learning rate.
-    Constant,
-    /// Multiply the rate by `factor` every `every` steps.
-    StepDecay {
-        /// Steps between decays.
-        every: usize,
-        /// Per-decay multiplier in `(0, 1]`.
-        factor: f32,
-    },
-    /// Cosine annealing from the base rate to `min_factor ×` base over
-    /// `total` steps (clamped afterwards).
-    Cosine {
-        /// Total steps of the anneal.
-        total: usize,
-        /// Final multiplier.
-        min_factor: f32,
-    },
-}
-
-impl LrSchedule {
-    /// The learning rate at `step` given a `base` rate.
-    pub fn lr_at(&self, step: usize, base: f32) -> f32 {
-        match *self {
-            LrSchedule::Constant => base,
-            LrSchedule::StepDecay { every, factor } => {
-                base * factor.powi((step / every.max(1)) as i32)
-            }
-            LrSchedule::Cosine { total, min_factor } => {
-                let t = (step as f32 / total.max(1) as f32).min(1.0);
-                let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
-                base * (min_factor + (1.0 - min_factor) * cos)
-            }
-        }
-    }
-}
-
-/// Stochastic gradient descent with optional momentum and weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient in `[0, 1)`; `0` disables momentum.
-    pub momentum: f32,
-    /// L2 weight decay (decoupled, applied to parameters directly).
-    pub weight_decay: f32,
-    velocity: Vec<f32>,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn step(&mut self, net: &mut Mlp) {
-        if self.velocity.is_empty() && self.momentum > 0.0 {
-            self.velocity = vec![0.0; net.param_count()];
-        }
-        let mut offset = 0usize;
-        let lr = self.lr;
-        let mu = self.momentum;
-        let wd = self.weight_decay;
-        let velocity = &mut self.velocity;
-        net.visit_params(|p, g| {
-            if mu > 0.0 {
-                let v = &mut velocity[offset..offset + p.len()];
-                for ((pi, &gi), vi) in p.iter_mut().zip(g).zip(v.iter_mut()) {
-                    *vi = mu * *vi + gi;
-                    *pi -= lr * (*vi + wd * *pi);
-                }
-            } else {
-                for (pi, &gi) in p.iter_mut().zip(g) {
-                    *pi -= lr * (gi + wd * *pi);
-                }
-            }
-            offset += p.len();
-        });
-    }
-}
 
 /// Adam optimizer (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
@@ -157,18 +35,10 @@ impl Adam {
             t: 0,
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn step(&mut self, net: &mut Mlp) {
+    /// Applies one update step using the gradients currently accumulated in
+    /// the network, then leaves the gradients untouched (callers zero them).
+    pub fn step(&mut self, net: &mut Mlp) {
         let n = net.param_count();
         if self.m.is_empty() {
             self.m = vec![0.0; n];
@@ -204,8 +74,10 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    /// Trains y = 2x − 1 with a linear model; any sane optimizer must converge.
-    fn converges(opt: &mut dyn Optimizer) -> f32 {
+    /// Trains y = 2x − 1 with a linear model.
+    #[test]
+    fn adam_converges_on_linear_regression() {
+        let mut opt = Adam::new(0.05);
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         let mut net = Mlp::new(&MlpConfig::linear(1, 1), &mut rng);
         let xs = Matrix::from_fn(16, 1, |r, _| r as f32 / 8.0 - 1.0);
@@ -221,107 +93,7 @@ mod tests {
             opt.step(&mut net);
             last = loss;
         }
-        last
-    }
-
-    #[test]
-    fn sgd_converges_on_linear_regression() {
-        assert!(converges(&mut Sgd::new(0.1)) < 1e-4);
-    }
-
-    #[test]
-    fn momentum_converges_on_linear_regression() {
-        assert!(converges(&mut Sgd::with_momentum(0.05, 0.9)) < 1e-4);
-    }
-
-    #[test]
-    fn adam_converges_on_linear_regression() {
-        assert!(converges(&mut Adam::new(0.05)) < 1e-4);
-    }
-
-    #[test]
-    fn schedules_produce_expected_rates() {
-        let base = 1.0f32;
-        assert_eq!(LrSchedule::Constant.lr_at(500, base), base);
-        let sd = LrSchedule::StepDecay {
-            every: 100,
-            factor: 0.5,
-        };
-        assert_eq!(sd.lr_at(0, base), 1.0);
-        assert_eq!(sd.lr_at(99, base), 1.0);
-        assert_eq!(sd.lr_at(100, base), 0.5);
-        assert_eq!(sd.lr_at(250, base), 0.25);
-        let cos = LrSchedule::Cosine {
-            total: 100,
-            min_factor: 0.1,
-        };
-        assert!((cos.lr_at(0, base) - 1.0).abs() < 1e-6);
-        assert!((cos.lr_at(50, base) - 0.55).abs() < 1e-5);
-        assert!((cos.lr_at(100, base) - 0.1).abs() < 1e-6);
-        // Clamped past the horizon.
-        assert!((cos.lr_at(1000, base) - 0.1).abs() < 1e-6);
-        // Monotone non-increasing.
-        let mut prev = f32::INFINITY;
-        for step in 0..=100 {
-            let lr = cos.lr_at(step, base);
-            assert!(lr <= prev + 1e-6);
-            prev = lr;
-        }
-    }
-
-    #[test]
-    fn optimizers_expose_learning_rate() {
-        let mut sgd = Sgd::new(0.1);
-        sgd.set_learning_rate(0.01);
-        assert_eq!(sgd.learning_rate(), 0.01);
-        let mut adam = Adam::new(0.001);
-        adam.set_learning_rate(0.0001);
-        assert_eq!(adam.learning_rate(), 0.0001);
-    }
-
-    #[test]
-    fn cosine_annealed_training_converges() {
-        let mut opt = Adam::new(0.05);
-        let schedule = LrSchedule::Cosine {
-            total: 500,
-            min_factor: 0.01,
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let mut net = Mlp::new(&MlpConfig::linear(1, 1), &mut rng);
-        let xs = Matrix::from_fn(16, 1, |r, _| r as f32 / 8.0 - 1.0);
-        let ys: Vec<f32> = (0..16)
-            .map(|r| 2.0 * (r as f32 / 8.0 - 1.0) - 1.0)
-            .collect();
-        let mut last = f32::INFINITY;
-        for step in 0..500 {
-            opt.set_learning_rate(schedule.lr_at(step, 0.05));
-            let pred = net.forward_train(&xs);
-            let (loss, grad) = mse(&pred, &ys);
-            net.zero_grad();
-            net.backward(&grad);
-            opt.step(&mut net);
-            last = loss;
-        }
-        assert!(last < 1e-4, "annealed training should converge: {last}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut net = Mlp::new(&MlpConfig::linear(2, 1), &mut rng);
-        let mut before = 0.0;
-        net.visit_params(|p, _| before += p.iter().map(|x| x * x).sum::<f32>());
-        let mut opt = Sgd {
-            lr: 0.1,
-            momentum: 0.0,
-            weight_decay: 0.5,
-            velocity: vec![],
-        };
-        net.zero_grad(); // zero gradients: only decay acts
-        opt.step(&mut net);
-        let mut after = 0.0;
-        net.visit_params(|p, _| after += p.iter().map(|x| x * x).sum::<f32>());
-        assert!(after < before);
+        assert!(last < 1e-4);
     }
 
     #[test]

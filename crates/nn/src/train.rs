@@ -11,7 +11,7 @@
 
 use crate::loss::{bce_with_logits, mse, triplet_batch};
 use crate::mlp::Mlp;
-use crate::optim::{LrSchedule, Optimizer};
+use crate::optim::Adam;
 use crate::tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -37,29 +37,6 @@ impl Default for FitConfig {
     }
 }
 
-/// How negatives are chosen for each triplet (§3.1 constructs triplets by
-/// sampling a second bucket at random; semi-hard mining is the standard
-/// refinement from the metric-learning literature the paper's triplet loss
-/// comes from).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NegativeMining {
-    /// A uniformly random member of a different bucket (the paper's
-    /// construction).
-    Random,
-    /// Semi-hard mining: among `candidates` random different-bucket records,
-    /// pick the negative whose current embedding distance to the anchor is
-    /// the smallest one still larger than the anchor–positive distance
-    /// (falling back to the hardest candidate). Candidate embeddings are
-    /// refreshed from the in-training network every `refresh_every` steps.
-    SemiHard {
-        /// Number of candidate negatives sampled per triplet.
-        candidates: usize,
-        /// Steps between candidate-embedding refreshes (stale embeddings are
-        /// the standard cost/quality tradeoff).
-        refresh_every: usize,
-    },
-}
-
 /// Configuration for triplet fine-tuning (paper §3.1).
 #[derive(Debug, Clone)]
 pub struct TripletConfig {
@@ -69,10 +46,6 @@ pub struct TripletConfig {
     pub batch_size: usize,
     /// Margin `m` of the hinge (paper §5.1).
     pub margin: f32,
-    /// Negative-selection strategy.
-    pub mining: NegativeMining,
-    /// Learning-rate schedule applied over the optimizer's base rate.
-    pub schedule: LrSchedule,
 }
 
 impl Default for TripletConfig {
@@ -81,20 +54,7 @@ impl Default for TripletConfig {
             steps: 400,
             batch_size: 32,
             margin: 0.3,
-            mining: NegativeMining::Random,
-            schedule: LrSchedule::Constant,
         }
-    }
-}
-
-impl TripletConfig {
-    /// Enables semi-hard negative mining with sensible defaults.
-    pub fn with_semi_hard_mining(mut self) -> Self {
-        self.mining = NegativeMining::SemiHard {
-            candidates: 6,
-            refresh_every: 25,
-        };
-        self
     }
 }
 
@@ -120,7 +80,7 @@ fn fit_supervised(
     features: &Matrix,
     targets: &[f32],
     config: &FitConfig,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     rng: &mut impl Rng,
     loss_kind: SupervisedLoss,
 ) -> TrainReport {
@@ -172,7 +132,7 @@ pub fn fit_regression(
     features: &Matrix,
     targets: &[f32],
     config: &FitConfig,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     rng: &mut impl Rng,
 ) -> TrainReport {
     fit_supervised(
@@ -192,7 +152,7 @@ pub fn fit_classifier(
     features: &Matrix,
     targets: &[f32],
     config: &FitConfig,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     rng: &mut impl Rng,
 ) -> TrainReport {
     fit_supervised(
@@ -222,7 +182,7 @@ pub fn fit_triplet(
     features: &Matrix,
     buckets: &[usize],
     config: &TripletConfig,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     rng: &mut impl Rng,
 ) -> TrainReport {
     assert_eq!(
@@ -260,17 +220,7 @@ pub fn fit_triplet(
     // instead of allocating three row selections plus a vstack.
     let mut idx_batch: Vec<usize> = Vec::with_capacity(3 * config.batch_size);
     let mut batch = Matrix::zeros(3 * config.batch_size, features.cols());
-    // Cached embeddings of all training records for semi-hard mining,
-    // refreshed periodically from the in-training network.
-    let mut cached_embeddings: Option<Matrix> = None;
-    let base_lr = opt.learning_rate();
-    for step in 0..config.steps {
-        opt.set_learning_rate(config.schedule.lr_at(step, base_lr));
-        if let NegativeMining::SemiHard { refresh_every, .. } = config.mining {
-            if step % refresh_every.max(1) == 0 {
-                cached_embeddings = Some(net.forward_ref(features));
-            }
-        }
+    for _ in 0..config.steps {
         idx_a.clear();
         idx_p.clear();
         idx_n.clear();
@@ -291,40 +241,7 @@ pub fn fit_triplet(
                     break cand;
                 }
             };
-            let n = match (config.mining, &cached_embeddings) {
-                (NegativeMining::SemiHard { candidates, .. }, Some(emb)) => {
-                    // Candidates drawn from *any* non-anchor bucket, not just
-                    // gn, to widen the pool.
-                    let d_ap = crate::tensor::l2(emb.row(a), emb.row(p));
-                    let mut best_semi: Option<(usize, f32)> = None;
-                    let mut hardest: Option<(usize, f32)> = None;
-                    for _ in 0..candidates.max(1) {
-                        let g = loop {
-                            let g = rng.gen_range(0..groups.len());
-                            if g != ga {
-                                break g;
-                            }
-                        };
-                        let cand = groups[g][rng.gen_range(0..groups[g].len())];
-                        let d_an = crate::tensor::l2(emb.row(a), emb.row(cand));
-                        if d_an > d_ap {
-                            // Semi-hard: violates or nearly violates the
-                            // margin; keep the closest such negative.
-                            if best_semi.is_none() || best_semi.is_some_and(|(_, d)| d_an < d) {
-                                best_semi = Some((cand, d_an));
-                            }
-                        }
-                        if hardest.is_none() || hardest.is_some_and(|(_, d)| d_an < d) {
-                            hardest = Some((cand, d_an));
-                        }
-                    }
-                    best_semi
-                        .or(hardest)
-                        .map(|(c, _)| c)
-                        .unwrap_or_else(|| groups[gn][rng.gen_range(0..groups[gn].len())])
-                }
-                _ => groups[gn][rng.gen_range(0..groups[gn].len())],
-            };
+            let n = groups[gn][rng.gen_range(0..groups[gn].len())];
             idx_a.push(a);
             idx_p.push(p);
             idx_n.push(n);
@@ -358,7 +275,7 @@ pub fn fit_triplet(
 mod tests {
     use super::*;
     use crate::mlp::{Activation, Mlp, MlpConfig};
-    use crate::optim::{Adam, Sgd};
+    use crate::optim::Adam;
     use crate::tensor::l2;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -403,7 +320,7 @@ mod tests {
             base + ((r * 3 + c) % 7) as f32 * 0.05
         });
         let ys: Vec<f32> = (0..40).map(|r| if r < 20 { 0.0 } else { 1.0 }).collect();
-        let mut opt = Sgd::new(0.5);
+        let mut opt = Adam::new(0.5);
         let report = fit_classifier(
             &mut net,
             &xs,
@@ -452,7 +369,6 @@ mod tests {
                 steps: 600,
                 batch_size: 16,
                 margin: 0.5,
-                ..Default::default()
             },
             &mut opt,
             &mut rng,
@@ -506,65 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn semi_hard_mining_trains_at_least_as_well_as_random() {
-        // Four buckets with subtle informative structure.
-        let n = 80;
-        let features = Matrix::from_fn(n, 6, |r, c| {
-            let bucket = r % 4;
-            match c {
-                0 => bucket as f32 * 0.15 + ((r / 4) as f32 * 0.71).sin() * 0.05,
-                1 => (bucket as f32 * 0.9).cos() * 0.1,
-                _ => ((r * 11 + c * 5) % 13) as f32 / 13.0, // nuisance
-            }
-        });
-        let buckets: Vec<usize> = (0..n).map(|r| r % 4).collect();
-        let run = |config: TripletConfig, seed: u64| -> f32 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut net = Mlp::new(&MlpConfig::embedding(6, 4), &mut rng);
-            let mut opt = Adam::new(0.01);
-            // Evaluate: mean inter/intra distance ratio (higher better).
-            fit_triplet(&mut net, &features, &buckets, &config, &mut opt, &mut rng);
-            let emb = net.forward(&features);
-            let mut intra = (0.0f32, 0u32);
-            let mut inter = (0.0f32, 0u32);
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let d = l2(emb.row(i), emb.row(j));
-                    if buckets[i] == buckets[j] {
-                        intra = (intra.0 + d, intra.1 + 1);
-                    } else {
-                        inter = (inter.0 + d, inter.1 + 1);
-                    }
-                }
-            }
-            (inter.0 / inter.1 as f32) / (intra.0 / intra.1 as f32).max(1e-6)
-        };
-        let base = TripletConfig {
-            steps: 300,
-            batch_size: 16,
-            margin: 0.5,
-            ..Default::default()
-        };
-        let ratio_random = run(base.clone(), 101);
-        let ratio_semi = run(base.with_semi_hard_mining(), 101);
-        // Semi-hard should separate at least ~as well as random mining.
-        assert!(
-            ratio_semi > ratio_random * 0.9,
-            "semi-hard {ratio_semi} vs random {ratio_random}"
-        );
-        assert!(
-            ratio_semi > 1.2,
-            "semi-hard mining must separate buckets: {ratio_semi}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "features/targets length mismatch")]
     fn regression_rejects_mismatched_lengths() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut net = Mlp::new(&MlpConfig::linear(1, 1), &mut rng);
         let xs = Matrix::zeros(3, 1);
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         let _ = fit_regression(
             &mut net,
             &xs,

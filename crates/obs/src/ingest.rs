@@ -139,8 +139,8 @@ impl DriftGauge {
 /// Serving-side accounting of one index's streaming-ingest lifecycle:
 /// what arrived, what replay did, what the drift gauge says, and how
 /// maintenance split between incremental cracks and full rebuilds.
-/// Serialized into the `metrics` reply (and the cost ledger) only when
-/// ingest actually happened, so ingest-free output stays byte-identical.
+/// Serialized into the `metrics` reply only when ingest actually
+/// happened, so ingest-free output stays byte-identical.
 #[derive(Debug, Clone, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct IngestTelemetry {

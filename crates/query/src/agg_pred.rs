@@ -13,13 +13,9 @@
 //! `Σ wᵢ·fᵢ·1[Pᵢ] / Σ wᵢ·1[Pᵢ]` with a delta-method normal confidence
 //! interval, under a fixed oracle budget (matching ABae's budgeted setting).
 
-use crate::sanitize::{sanitize_proxies, UnitScale};
+use crate::importance::sample_and_label;
 use crate::stats::normal_inverse_cdf;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::collections::HashMap;
 use tasti_obs::{QueryTelemetry, Stopwatch};
 
 /// Configuration for predicate aggregation.
@@ -97,59 +93,23 @@ pub fn predicate_aggregate_batch(
     let mut telemetry = QueryTelemetry::new("predicate_aggregate");
     let n = pred_proxy.len();
     assert!(n > 0, "cannot aggregate an empty dataset");
-    // Sanitize non-finite proxies per the crate-wide policy, then
-    // normalize to a sampling distribution (overflow-safe).
-    let sanitized = sanitize_proxies(pred_proxy);
-    telemetry.sanitized_inputs = sanitized.replaced;
-    let scale = UnitScale::new(&sanitized.scores);
-    let norm: &[f64] = &scale.norm;
-    let u = config.uniform_mix.clamp(0.0, 1.0);
-    let weight_total: f64 = norm.iter().sum();
-    let q: Vec<f64> = if weight_total > 1e-12 {
-        norm.iter()
-            .map(|&p| (1.0 - u) * p / weight_total + u / n as f64)
-            .collect()
-    } else {
-        vec![1.0 / n as f64; n]
-    };
-    let mut cdf = Vec::with_capacity(n);
-    let mut acc = 0.0;
-    for &qi in &q {
-        acc += qi;
-        cdf.push(acc);
-    }
-
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let m = config.budget.min(n).max(1);
-    // Label-independent draw set: draw first, then label the distinct
-    // records (first-occurrence order) in one batch oracle call.
-    let sampled: Vec<usize> = (0..m)
-        .map(|_| {
-            let x: f64 = rng.gen_range(0.0..acc);
-            cdf.partition_point(|&c| c < x).min(n - 1)
-        })
-        .collect();
-    let mut distinct: Vec<usize> = Vec::new();
-    let mut seen: std::collections::HashSet<usize> = Default::default();
-    for &rec in &sampled {
-        if seen.insert(rec) {
-            distinct.push(rec);
-        }
-    }
-    let answers = batch_oracle(&distinct);
-    assert_eq!(
-        answers.len(),
-        distinct.len(),
-        "batch oracle must return one answer per record"
+    // Importance distribution q ∝ (1−u)·p + u·(1/n)-mass.
+    let sample = sample_and_label(
+        pred_proxy,
+        |p| p,
+        config.uniform_mix,
+        config.budget,
+        config.seed,
+        batch_oracle,
     );
-    let truth: HashMap<usize, Option<f64>> = distinct.iter().copied().zip(answers).collect();
+    telemetry.sanitized_inputs = sample.sanitized_inputs;
+    let m = sample.draws.len();
     // Per-draw contributions a_i = w·f·1[P], b_i = w·1[P].
     let mut a = Vec::with_capacity(m);
     let mut b = Vec::with_capacity(m);
     let mut matches_sampled_set: std::collections::HashSet<usize> = Default::default();
-    for &rec in &sampled {
-        let w = 1.0 / (m as f64 * q[rec]);
-        match truth[&rec] {
+    for &(rec, w, answer) in &sample.draws {
+        match answer {
             Some(v) => {
                 a.push(w * v);
                 b.push(w);
@@ -161,7 +121,7 @@ pub fn predicate_aggregate_batch(
             }
         }
     }
-    let oracle_calls = distinct.len() as u64;
+    let oracle_calls = sample.oracle_calls;
 
     let mf = m as f64;
     let b_sum: f64 = b.iter().sum();
@@ -207,6 +167,8 @@ pub fn predicate_aggregate_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// Population: ~`match_rate` of records match; matching records carry
     /// value `base + noise`; `proxy_quality ∈ [0, 1]` controls how well the

@@ -43,6 +43,7 @@
 pub mod agg;
 pub mod agg_pred;
 pub mod degrade;
+mod importance;
 pub mod limit;
 pub mod sanitize;
 pub mod select;

@@ -22,11 +22,8 @@
 //! (Figure 5: lower is better); the recall target itself is met with high
 //! probability by construction.
 
-use crate::sanitize::{sanitize_proxies, UnitScale};
+use crate::importance::{ratio_lcb, sample_and_label};
 use crate::stats::normal_inverse_cdf;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::collections::HashSet;
 use tasti_obs::{QueryTelemetry, Stopwatch};
@@ -135,64 +132,21 @@ pub fn supg_recall_target_batch(
         "recall target must be in (0, 1)"
     );
 
-    // Sanitize non-finite proxies, then normalize to [0, 1] (overflow-safe).
-    let sanitized = sanitize_proxies(proxy);
-    telemetry.sanitized_inputs = sanitized.replaced;
-    let scale = UnitScale::new(&sanitized.scores);
-    let norm: &[f64] = &scale.norm;
-
-    // Importance distribution q ∝ (1−u)·√p + u·(1/n)-mass.
-    let u = config.uniform_mix.clamp(0.0, 1.0);
-    let sqrt_total: f64 = norm.iter().map(|&p| p.sqrt()).sum();
-    let q: Vec<f64> = if sqrt_total > 1e-12 {
-        norm.iter()
-            .map(|&p| (1.0 - u) * p.sqrt() / sqrt_total + u / n as f64)
-            .collect()
-    } else {
-        vec![1.0 / n as f64; n]
-    };
-
-    // Cumulative distribution for sampling with replacement.
-    let mut cdf = Vec::with_capacity(n);
-    let mut acc = 0.0;
-    for &qi in &q {
-        acc += qi;
-        cdf.push(acc);
-    }
-    let total = acc;
-
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let m = config.budget.min(n).max(1);
-    // The draw set is label-independent: make every importance draw first,
-    // then label the distinct records (first-occurrence order) in one batch
-    // oracle call. Distinct records are capped at the budget by m ≤ budget.
-    let sampled: Vec<usize> = (0..m)
-        .map(|_| {
-            let x: f64 = rng.gen_range(0.0..total);
-            cdf.partition_point(|&c| c < x).min(n - 1)
-        })
-        .collect();
-    let mut distinct: Vec<usize> = Vec::new();
-    let mut seen: HashSet<usize> = HashSet::new();
-    for &rec in &sampled {
-        if seen.insert(rec) {
-            distinct.push(rec);
-        }
-    }
-    let answers = batch_oracle(&distinct);
-    assert_eq!(
-        answers.len(),
-        distinct.len(),
-        "batch oracle must return one answer per record"
+    // Importance distribution q ∝ (1−u)·√p + u·(1/n)-mass; draws are
+    // (record, weight, is_positive).
+    let sample = sample_and_label(
+        proxy,
+        f64::sqrt,
+        config.uniform_mix,
+        config.budget,
+        config.seed,
+        batch_oracle,
     );
-    let truth: std::collections::HashMap<usize, bool> =
-        distinct.iter().copied().zip(answers).collect();
-    // Sampled draws: (record, weight, is_positive).
-    let draws: Vec<(usize, f64, bool)> = sampled
-        .iter()
-        .map(|&rec| (rec, 1.0 / (m as f64 * q[rec]), truth[&rec]))
-        .collect();
-    let oracle_calls = distinct.len() as u64;
+    telemetry.sanitized_inputs = sample.sanitized_inputs;
+    let norm: &[f64] = &sample.scale.norm;
+    let draws = &sample.draws;
+    let m = draws.len();
+    let oracle_calls = sample.oracle_calls;
 
     // Candidate thresholds: the distinct proxy values of sampled positives
     // (descending). recall(τ) is a step function changing only there.
@@ -211,32 +165,16 @@ pub fn supg_recall_target_batch(
         for &tau in &pos_thresholds {
             // Ratio estimator R = A/B with per-draw contributions
             // a_i = w_i·1[pos ∧ p ≥ τ], b_i = w_i·1[pos].
-            let mut a_sum = 0.0;
-            let mut b_sum = 0.0;
-            let mut a2 = 0.0;
-            let mut b2 = 0.0;
-            let mut ab = 0.0;
-            for &(rec, w, pos) in &draws {
-                let b = if pos { w } else { 0.0 };
-                let a = if pos && norm[rec] >= tau { w } else { 0.0 };
-                a_sum += a;
-                b_sum += b;
-                a2 += a * a;
-                b2 += b * b;
-                ab += a * b;
-            }
-            let mf = m as f64;
-            let r = a_sum / b_sum;
-            // Delta-method variance of the ratio of means.
-            let mean_a = a_sum / mf;
-            let mean_b = b_sum / mf;
-            let var_a = (a2 / mf - mean_a * mean_a).max(0.0);
-            let var_b = (b2 / mf - mean_b * mean_b).max(0.0);
-            let cov_ab = ab / mf - mean_a * mean_b;
-            let var_r = (var_a - 2.0 * r * cov_ab + r * r * var_b).max(0.0)
-                / (mf * mean_b * mean_b).max(1e-300);
-            let lcb = r - z * var_r.sqrt();
-            if lcb >= config.recall_target {
+            let lcb = ratio_lcb(
+                draws.iter().map(|&(rec, w, pos)| {
+                    let b = if pos { w } else { 0.0 };
+                    let a = if pos && norm[rec] >= tau { w } else { 0.0 };
+                    (a, b)
+                }),
+                m,
+                z,
+            );
+            if lcb.is_some_and(|lcb| lcb >= config.recall_target) {
                 chosen_tau = tau;
                 certified = true;
                 break; // thresholds descend; the first (largest) winner is tightest
@@ -261,7 +199,7 @@ pub fn supg_recall_target_batch(
     // Returned set: everything at/above τ plus all sampled positives.
     let mut returned: Vec<usize> = (0..n).filter(|&i| norm[i] >= chosen_tau).collect();
     let set: HashSet<usize> = returned.iter().copied().collect();
-    for &(rec, _, pos) in &draws {
+    for &(rec, _, pos) in draws {
         if pos && !set.contains(&rec) {
             returned.push(rec);
         }
@@ -274,7 +212,7 @@ pub fn supg_recall_target_batch(
     telemetry.wall_seconds = sw.elapsed_seconds();
     SupgResult {
         returned,
-        threshold: scale.denormalize(chosen_tau),
+        threshold: sample.scale.denormalize(chosen_tau),
         oracle_calls,
         estimated_recall,
         telemetry,
@@ -368,61 +306,22 @@ pub fn supg_precision_target_batch(
         config.precision_target > 0.0 && config.precision_target < 1.0,
         "precision target must be in (0, 1)"
     );
-    // Same degenerate-input policy as the recall variant (see [`SupgConfig`]).
-    let sanitized = sanitize_proxies(proxy);
-    telemetry.sanitized_inputs = sanitized.replaced;
-    let scale = UnitScale::new(&sanitized.scores);
-    let norm: &[f64] = &scale.norm;
-
-    // Importance distribution biased toward *high*-proxy records (where the
-    // precision boundary lives), defensively mixed with uniform.
-    let u = config.uniform_mix.clamp(0.0, 1.0);
-    let mass: f64 = norm.iter().map(|&p| p.sqrt()).sum();
-    let q: Vec<f64> = if mass > 1e-12 {
-        norm.iter()
-            .map(|&p| (1.0 - u) * p.sqrt() / mass + u / n as f64)
-            .collect()
-    } else {
-        vec![1.0 / n as f64; n]
-    };
-    let mut cdf = Vec::with_capacity(n);
-    let mut acc = 0.0;
-    for &qi in &q {
-        acc += qi;
-        cdf.push(acc);
-    }
-
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let m = config.budget.min(n).max(1);
-    // Label-independent draw set: draw first, label the distinct records in
-    // one batch oracle call (first-occurrence order — meter-identical to
-    // the sequential loop).
-    let sampled: Vec<usize> = (0..m)
-        .map(|_| {
-            let x: f64 = rng.gen_range(0.0..acc);
-            cdf.partition_point(|&c| c < x).min(n - 1)
-        })
-        .collect();
-    let mut distinct: Vec<usize> = Vec::new();
-    let mut seen: HashSet<usize> = HashSet::new();
-    for &rec in &sampled {
-        if seen.insert(rec) {
-            distinct.push(rec);
-        }
-    }
-    let answers = batch_oracle(&distinct);
-    assert_eq!(
-        answers.len(),
-        distinct.len(),
-        "batch oracle must return one answer per record"
+    // Same degenerate-input policy and √p sampler as the recall variant
+    // (see [`SupgConfig`]): biased toward *high*-proxy records, where the
+    // precision boundary lives.
+    let sample = sample_and_label(
+        proxy,
+        f64::sqrt,
+        config.uniform_mix,
+        config.budget,
+        config.seed,
+        batch_oracle,
     );
-    let truth: std::collections::HashMap<usize, bool> =
-        distinct.iter().copied().zip(answers).collect();
-    let draws: Vec<(usize, f64, bool)> = sampled
-        .iter()
-        .map(|&rec| (rec, 1.0 / (m as f64 * q[rec]), truth[&rec]))
-        .collect();
-    let oracle_calls = distinct.len() as u64;
+    telemetry.sanitized_inputs = sample.sanitized_inputs;
+    let norm: &[f64] = &sample.scale.norm;
+    let draws = &sample.draws;
+    let m = draws.len();
+    let oracle_calls = sample.oracle_calls;
 
     // Candidate thresholds: distinct sampled proxy values, ascending —
     // precision(τ) is non-decreasing in τ for well-ordered proxies, and we
@@ -435,36 +334,19 @@ pub fn supg_precision_target_batch(
     let mut chosen_tau = 1.0f64 + 1e-9; // default: empty set (vacuous precision)
     let mut certified = false;
     for &tau in &thresholds {
-        // Precision ratio estimator over records at/above τ.
-        let mut a_sum = 0.0;
-        let mut b_sum = 0.0;
-        let mut a2 = 0.0;
-        let mut b2 = 0.0;
-        let mut ab = 0.0;
-        for &(rec, w, pos) in &draws {
-            let above = norm[rec] >= tau;
-            let b = if above { w } else { 0.0 };
-            let a = if above && pos { w } else { 0.0 };
-            a_sum += a;
-            b_sum += b;
-            a2 += a * a;
-            b2 += b * b;
-            ab += a * b;
-        }
-        if b_sum <= 0.0 {
-            continue;
-        }
-        let mf = m as f64;
-        let r = a_sum / b_sum;
-        let mean_a = a_sum / mf;
-        let mean_b = b_sum / mf;
-        let var_a = (a2 / mf - mean_a * mean_a).max(0.0);
-        let var_b = (b2 / mf - mean_b * mean_b).max(0.0);
-        let cov_ab = ab / mf - mean_a * mean_b;
-        let var_r = (var_a - 2.0 * r * cov_ab + r * r * var_b).max(0.0)
-            / (mf * mean_b * mean_b).max(1e-300);
-        let lcb = r - z * var_r.sqrt();
-        if lcb >= config.precision_target {
+        // Precision ratio estimator over records at/above τ (no bound
+        // when no sampled mass lies there).
+        let lcb = ratio_lcb(
+            draws.iter().map(|&(rec, w, pos)| {
+                let above = norm[rec] >= tau;
+                let b = if above { w } else { 0.0 };
+                let a = if above && pos { w } else { 0.0 };
+                (a, b)
+            }),
+            m,
+            z,
+        );
+        if lcb.is_some_and(|lcb| lcb >= config.precision_target) {
             chosen_tau = tau;
             certified = true;
             break; // ascending: first certifiable τ is the smallest
@@ -485,7 +367,7 @@ pub fn supg_precision_target_batch(
     let est_precision = {
         let mut a = 0.0;
         let mut b = 0.0;
-        for &(rec, w, pos) in &draws {
+        for &(rec, w, pos) in draws {
             if norm[rec] >= chosen_tau {
                 b += w;
                 if pos {
@@ -507,7 +389,7 @@ pub fn supg_precision_target_batch(
     telemetry.wall_seconds = sw.elapsed_seconds();
     SupgPrecisionResult {
         returned,
-        threshold: scale.denormalize(chosen_tau),
+        threshold: sample.scale.denormalize(chosen_tau),
         oracle_calls,
         estimated_precision: est_precision,
         telemetry,
@@ -517,6 +399,8 @@ pub fn supg_precision_target_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// Population where proxy ranks positives with the given AUC-ish quality.
     fn population(n: usize, pos_rate: f64, quality: f64, seed: u64) -> (Vec<bool>, Vec<f64>) {

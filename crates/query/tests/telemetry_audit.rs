@@ -369,6 +369,72 @@ fn batched_predicate_aggregate_is_meter_identical_to_sequential() {
     assert_eq!(bat_res.telemetry.invocations, seq_res.telemetry.invocations);
 }
 
+#[test]
+fn importance_sampled_algorithms_share_one_sampler() {
+    // SUPG recall and precision draw from the same √p distribution: for the
+    // same proxy, seed, budget and uniform mix they must ask their oracle
+    // for the same records in the same order. Predicate aggregation weights
+    // by p instead, but keeps the sampler's request contract: one call,
+    // distinct records, at most `budget.min(n)` of them.
+    let n = 400;
+    let p = proxy(n);
+    let matches = |r: usize| r % 4 >= 2;
+    for (budget, uniform_mix, seed) in [(150, 0.1, 7), (40, 0.5, 11), (1_000, 0.0, 3)] {
+        let mut recall_requests: Vec<Vec<usize>> = Vec::new();
+        supg_recall_target_batch(
+            &p,
+            &mut |recs| {
+                recall_requests.push(recs.to_vec());
+                recs.iter().map(|&r| matches(r)).collect()
+            },
+            &SupgConfig {
+                budget,
+                uniform_mix,
+                seed,
+                ..Default::default()
+            },
+        );
+        let mut precision_requests: Vec<Vec<usize>> = Vec::new();
+        supg_precision_target_batch(
+            &p,
+            &mut |recs| {
+                precision_requests.push(recs.to_vec());
+                recs.iter().map(|&r| matches(r)).collect()
+            },
+            &SupgPrecisionConfig {
+                budget,
+                uniform_mix,
+                seed,
+                ..Default::default()
+            },
+        );
+        assert_eq!(recall_requests.len(), 1);
+        assert_eq!(recall_requests, precision_requests);
+
+        let mut agg_requests: Vec<Vec<usize>> = Vec::new();
+        predicate_aggregate_batch(
+            &p,
+            &mut |recs| {
+                agg_requests.push(recs.to_vec());
+                recs.iter()
+                    .map(|&r| matches(r).then_some(r as f64))
+                    .collect()
+            },
+            &PredicateAggConfig {
+                budget,
+                uniform_mix,
+                seed,
+                ..Default::default()
+            },
+        );
+        assert_eq!(agg_requests.len(), 1);
+        let asked = &agg_requests[0];
+        assert!(!asked.is_empty() && asked.len() <= budget.min(n));
+        let distinct: std::collections::HashSet<usize> = asked.iter().copied().collect();
+        assert_eq!(distinct.len(), asked.len(), "duplicate record requested");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fault-aware vs classic identity (acceptance criterion of the fault-tolerant
 // oracle path): with fault injection disabled, every `try_*` entry point must

@@ -52,8 +52,9 @@
 //! `"index": "<name>"` field naming a registry entry; absent routes to the
 //! default index, and replies to unrouted requests are byte-identical to
 //! the single-index protocol. Routed success replies echo the name as a
-//! top-level `"index"` field and inside `telemetry` (so cost ledgers can
-//! collate per index). `index_load` takes `"index"` (the new name),
+//! top-level `"index"` field and inside `telemetry` (so a telemetry
+//! object logged apart from its reply still names the index it billed).
+//! `index_load` takes `"index"` (the new name),
 //! `"path"` (an index snapshot file) and optionally `"budget"` (a
 //! per-index label budget); `index_unload` takes `"index"`; `index_list`
 //! takes nothing and reports every loaded entry.
@@ -628,7 +629,8 @@ pub fn ok_response(id: u64, result_body: &str, telemetry: Option<&QueryTelemetry
 
 /// [`ok_response`] for a request that named its index: echoes the name as
 /// a top-level `"index"` field and splices it into the telemetry object so
-/// downstream cost ledgers can collate per index. With `index == None` the
+/// a telemetry record kept apart from its reply still names the index whose
+/// meter it billed. With `index == None` the
 /// output is byte-identical to [`ok_response`] — the back-compat contract
 /// for unrouted (pre-registry) request lines.
 pub fn ok_response_routed(
@@ -930,7 +932,7 @@ mod tests {
         let line = ok_response_routed(7, "\"x\":1", Some(&t), Some("alt"));
         let reply = Reply::parse(&line).unwrap();
         assert_eq!(reply.index.as_deref(), Some("alt"));
-        // …and spliced into the telemetry object for the cost ledger.
+        // …and spliced into the telemetry object, which may outlive the reply.
         assert_eq!(
             reply
                 .telemetry

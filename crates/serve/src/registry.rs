@@ -8,7 +8,7 @@
 //!   `Arc` under a brief read lock, cracking swaps it),
 //! * its own [`MeteredLabeler`] — exactly-once oracle accounting is
 //!   **per index**, because the oracle answers for one dataset and its
-//!   label-cost ledger must not be polluted by a co-tenant's traffic,
+//!   label-cost totals must not be polluted by a co-tenant's traffic,
 //! * its own label budget (tenant cost isolation),
 //! * its own [`ServeMetrics`] (per-index sections in the `metrics` op),
 //! * its own maintenance mutex (cracking one index never serializes
@@ -156,7 +156,7 @@ pub struct IndexEntry<L: FallibleTargetLabeler> {
     pub name: String,
     index: RwLock<Arc<TastiIndex>>,
     /// The entry's own metered labeler: exactly-once accounting and the
-    /// label-cost ledger are per index, never shared across tenants.
+    /// label-cost totals are per index, never shared across tenants.
     pub labeler: MeteredLabeler<L>,
     /// Hard target-labeler budget for this entry's lifetime (`None` =
     /// unlimited). Applied to the labeler at construction.

@@ -152,7 +152,7 @@ fn named_indexes_route_and_meter_independently() {
     assert_eq!(
         telemetry.get("index").and_then(|v| v.as_str()),
         Some("night"),
-        "routed telemetry carries the index for the bench ledger"
+        "routed telemetry names the index it billed"
     );
 
     for op in [

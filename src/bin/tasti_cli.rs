@@ -767,6 +767,7 @@ fn run_query(a: &QueryArgs) -> Result<(), String> {
 fn run_serve(a: &ServeArgs) -> Result<(), String> {
     let dataset = load_dataset(&a.dataset, a.n, a.seed)?;
     let storage_vfs = storage_vfs_for(a)?;
+    let fault_plan = fault_plan_for(a)?;
     // Startup load goes through the same fallback path the runtime
     // `index_load` op uses: a damaged snapshot recovers to the `.prev`
     // last-good copy (the ingest log replays the gap) instead of refusing
@@ -822,26 +823,10 @@ fn run_serve(a: &ServeArgs) -> Result<(), String> {
         storage_vfs,
         ..ServeConfig::default()
     };
-    let any_fault = [
-        a.fault_transient,
-        a.fault_timeout,
-        a.fault_corrupt,
-        a.fault_fatal,
-    ]
-    .iter()
-    .any(|&r| r > 0.0);
     // Every index entry (default, preloaded, or loaded at runtime via
     // `index_load`) gets its own copy of the oracle stack from the factory,
     // so per-index metering and budgets stay isolated.
-    if any_fault {
-        let plan = FaultPlan {
-            transient_rate: a.fault_transient,
-            timeout_rate: a.fault_timeout,
-            corrupt_rate: a.fault_corrupt,
-            fatal_rate: a.fault_fatal,
-            seed: a.fault_seed,
-            ..FaultPlan::default()
-        };
+    if let Some(plan) = fault_plan {
         let factory: LabelerFactory<_> = Box::new(move |_name: &str| {
             let oracle = OracleLabeler::new(
                 truth.clone(),
@@ -866,6 +851,37 @@ fn run_serve(a: &ServeArgs) -> Result<(), String> {
         });
         serve_until_drained(index, factory, config, a, snapshot_fell_back)
     }
+}
+
+/// Builds the oracle fault plan from the `--fault-*` flags (`None` when
+/// every rate is 0), rejecting what `FaultInjectingLabeler::new` would
+/// panic on or silently ignore: each rate must be finite and in `[0, 1]`,
+/// and together they must sum to at most 1.
+fn fault_plan_for(a: &ServeArgs) -> Result<Option<FaultPlan>, String> {
+    let rates = [
+        ("--fault-transient", a.fault_transient),
+        ("--fault-timeout", a.fault_timeout),
+        ("--fault-corrupt", a.fault_corrupt),
+        ("--fault-fatal", a.fault_fatal),
+    ];
+    for (flag, rate) in rates {
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(format!("invalid {flag} {rate} (expected 0..=1)"));
+        }
+    }
+    let sum: f64 = rates.iter().map(|&(_, rate)| rate).sum();
+    if sum > 1.0 {
+        return Err(format!(
+            "--fault-transient/-timeout/-corrupt/-fatal rates sum to {sum} (expected at most 1)"
+        ));
+    }
+    Ok((sum > 0.0).then_some(FaultPlan {
+        transient_rate: a.fault_transient,
+        timeout_rate: a.fault_timeout,
+        corrupt_rate: a.fault_corrupt,
+        fatal_rate: a.fault_fatal,
+        seed: a.fault_seed,
+    }))
 }
 
 /// Builds the filesystem seam for the storage layer from the
@@ -1312,6 +1328,44 @@ mod tests {
     }
 
     #[test]
+    fn usage_synopsis_and_accepted_flags_agree() {
+        use std::collections::BTreeSet;
+        for (command, accepted) in [
+            ("build", BUILD_FLAGS),
+            ("info", INFO_FLAGS),
+            ("query", QUERY_FLAGS),
+            ("serve", SERVE_FLAGS),
+            ("probe", PROBE_FLAGS),
+        ] {
+            // The subcommand's synopsis: its `tasti_cli <command>` line and
+            // the continuation lines before the next synopsis or blank line.
+            let head = format!("  tasti_cli {command} ");
+            let synopsis: Vec<&str> = USAGE
+                .lines()
+                .skip_while(|line| !line.starts_with(&head))
+                .enumerate()
+                .take_while(|(i, line)| {
+                    *i == 0 || !(line.is_empty() || line.starts_with("  tasti_cli "))
+                })
+                .map(|(_, line)| line)
+                .collect();
+            assert!(!synopsis.is_empty(), "no synopsis for '{command}'");
+            let documented: BTreeSet<&str> = synopsis
+                .iter()
+                .flat_map(|line| line.split("--").skip(1))
+                .map(|rest| {
+                    let end = rest
+                        .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                        .unwrap_or(rest.len());
+                    &rest[..end]
+                })
+                .collect();
+            let accepted: BTreeSet<&str> = accepted.iter().copied().collect();
+            assert_eq!(documented, accepted, "USAGE vs {command} flag list");
+        }
+    }
+
+    #[test]
     fn parses_serve_fault_flags() {
         let cmd = parse(&s(&[
             "serve",
@@ -1337,9 +1391,49 @@ mod tests {
                 assert_eq!(a.fault_timeout, 0.0);
                 assert_eq!(a.fault_fatal, 0.05);
                 assert_eq!(a.fault_seed, 7);
+                let plan = fault_plan_for(&a)
+                    .unwrap()
+                    .expect("a positive rate is a plan");
+                assert_eq!(plan.transient_rate, 0.2);
+                assert_eq!(plan.fatal_rate, 0.05);
+                assert_eq!(plan.seed, 7);
             }
             other => panic!("wrong parse: {other:?}"),
         }
+    }
+
+    #[test]
+    fn serve_fault_rates_are_validated_before_the_labeler_factory_sees_them() {
+        let serve_with = |fault_flags: &[&str]| {
+            let mut args = s(&[
+                "serve",
+                "--index",
+                "x.json",
+                "--dataset",
+                "night-street",
+                "--n",
+                "500",
+            ]);
+            args.extend(s(fault_flags));
+            match parse(&args).unwrap() {
+                Command::Serve(a) => fault_plan_for(&a),
+                other => panic!("wrong parse: {other:?}"),
+            }
+        };
+        assert!(serve_with(&[]).unwrap().is_none(), "faults default off");
+        // Rates that sum past 1 used to panic inside the labeler factory.
+        let err = serve_with(&["--fault-transient", "0.7", "--fault-fatal", "0.7"]).unwrap_err();
+        assert!(err.contains("sum to 1.4"), "{err}");
+        // A negative rate names its flag, alone or beside a positive one.
+        let err = serve_with(&["--fault-timeout", "-0.2"]).unwrap_err();
+        assert!(err.contains("--fault-timeout -0.2"), "{err}");
+        let err = serve_with(&["--fault-transient", "0.3", "--fault-corrupt", "-0.1"]).unwrap_err();
+        assert!(err.contains("--fault-corrupt -0.1"), "{err}");
+        // NaN and out-of-range rates likewise.
+        let err = serve_with(&["--fault-fatal", "NaN"]).unwrap_err();
+        assert!(err.contains("--fault-fatal NaN"), "{err}");
+        let err = serve_with(&["--fault-transient", "1.5"]).unwrap_err();
+        assert!(err.contains("--fault-transient 1.5"), "{err}");
     }
 
     #[test]

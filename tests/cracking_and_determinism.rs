@@ -23,7 +23,6 @@ fn build_night_street(
             steps: 150,
             batch_size: 24,
             margin: 0.3,
-            ..Default::default()
         },
         seed,
         ..TastiConfig::default()

@@ -14,7 +14,6 @@ fn small_tasti_config(n_train: usize, n_reps: usize, seed: u64) -> TastiConfig {
             steps: 200,
             batch_size: 24,
             margin: 0.3,
-            ..Default::default()
         },
         seed,
         ..TastiConfig::default()

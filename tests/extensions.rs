@@ -22,7 +22,6 @@ fn build_taipei(n: usize, seed: u64) -> (tasti::data::Dataset, TastiIndex) {
             steps: 200,
             batch_size: 24,
             margin: 0.3,
-            ..Default::default()
         },
         seed,
         ..TastiConfig::default()
@@ -183,7 +182,6 @@ fn streaming_then_cracking_then_querying_composes() {
             steps: 150,
             batch_size: 24,
             margin: 0.3,
-            ..Default::default()
         },
         seed: 66,
         ..TastiConfig::default()
